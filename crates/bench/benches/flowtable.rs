@@ -1,7 +1,6 @@
 //! Criterion benches of the connection-tracking flow table: lookup and
 //! insert cost at the paper's scales (10 000s of flows per server [46]),
-//! plus multi-threaded lookup scaling (the RCU/per-entry-lock design
-//! goal).
+//! through the sharded table's closure accessors.
 
 use acdc_cc::{CcConfig, CcKind};
 use acdc_packet::FlowKey;
@@ -26,27 +25,25 @@ fn flowtable(c: &mut Criterion) {
     for n in [100u32, 10_000, 100_000] {
         let table = FlowTable::new();
         for i in 0..n {
-            table.get_or_create(key(i), entry);
+            table.with_entry_or_create(key(i), entry, |_| ());
         }
         let mut i = 0u32;
         group.bench_with_input(BenchmarkId::new("lookup_hit", n), &n, |b, &n| {
             b.iter(|| {
                 i = (i + 1) % n;
-                std::hint::black_box(table.get(&key(i)).is_some())
+                std::hint::black_box(table.with_entry(&key(i), |_| ()).is_some())
             })
         });
         group.bench_with_input(BenchmarkId::new("lookup_miss", n), &n, |b, &n| {
             b.iter(|| {
                 i = (i + 1) % n;
-                std::hint::black_box(table.get(&key(i + 10_000_000)).is_none())
+                std::hint::black_box(table.with_entry(&key(i + 10_000_000), |_| ()).is_none())
             })
         });
         group.bench_with_input(BenchmarkId::new("lookup_and_lock", n), &n, |b, &n| {
             b.iter(|| {
                 i = (i + 1) % n;
-                let e = table.get(&key(i)).unwrap();
-                let guard = e.lock();
-                std::hint::black_box(guard.dupacks)
+                std::hint::black_box(table.with_entry(&key(i), |e| e.dupacks).unwrap())
             })
         });
     }
@@ -57,7 +54,7 @@ fn flowtable(c: &mut Criterion) {
         b.iter(|| {
             i = i.wrapping_add(1);
             let k = key(i);
-            table.get_or_create(k, entry);
+            table.with_entry_or_create(k, entry, |_| ());
             table.remove(&k);
         })
     });

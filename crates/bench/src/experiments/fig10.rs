@@ -44,9 +44,9 @@ pub fn run(opts: &Opts) -> Report {
     let key: FlowKey = h.key;
     let rwnd = {
         let dp = tb.host_mut(h.client_host).datapath();
-        let entry = dp.table().get(&key).expect("flow entry");
-        let e = entry.lock();
-        e.rwnd.trace().expect("window trace").to_vec()
+        dp.table()
+            .with_entry(&key, |e| e.rwnd.trace().expect("window trace").to_vec())
+            .expect("flow entry")
     };
 
     // How often is the AC/DC window the smaller (binding) one?

@@ -26,7 +26,11 @@
 //! and because `seq` is unique the sort is a total order. The
 //! equivalence proptest in `tests/wheel_props.rs` drives this scheduler
 //! and a `BinaryHeap` reference model with arbitrary interleaved
-//! schedule/cancel/advance sequences and asserts identical pop streams.
+//! schedule/advance sequences and asserts identical pop streams.
+//!
+//! There is no cancellation: the engine never withdraws a scheduled
+//! event (stale timers are recognised and ignored when they fire), so
+//! every stored entry is live.
 //!
 //! ## Same-timestamp batching
 //!
@@ -35,7 +39,7 @@
 //! already-drained batch (a peek the old heap would have re-done)
 //! increments the `engine.wheel.same_slot_batches` counter.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::mem;
 
 use acdc_stats::time::Nanos;
@@ -124,10 +128,8 @@ pub struct TimerWheel<T> {
     /// Time floor: no live entry is earlier than this, and schedules
     /// below it clamp up to it (fire as soon as possible).
     cur: Nanos,
-    /// Live (scheduled − popped − cancelled) entries.
+    /// Live (scheduled − popped) entries.
     len: usize,
-    /// Lazily-reaped cancelled sequences (see [`TimerWheel::cancel`]).
-    cancelled: BTreeSet<u64>,
     /// Set once the first entry of a drained batch has been served;
     /// every further same-batch pop counts a saved re-scan.
     batch_started: bool,
@@ -150,13 +152,12 @@ impl<T> TimerWheel<T> {
             drained_slot: None,
             cur: 0,
             len: 0,
-            cancelled: BTreeSet::new(),
             batch_started: false,
             batches: Counter::standalone(),
         }
     }
 
-    /// Live entries (scheduled, not yet popped or cancelled).
+    /// Live entries (scheduled, not yet popped).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -198,47 +199,29 @@ impl<T> TimerWheel<T> {
         self.place(e);
     }
 
-    /// Lazily cancel the pending entry with sequence `seq`. The caller
-    /// must know `seq` is live (scheduled, not yet popped or cancelled);
-    /// the entry's storage is reaped when its deadline comes around.
-    pub fn cancel(&mut self, seq: u64) {
-        self.cancelled.insert(seq);
-        self.len -= 1;
-    }
-
     /// Pop the earliest live entry with deadline ≤ `limit`, as
     /// `(at, seq, payload)`, or `None` if every live entry is later.
     pub fn pop_before(&mut self, limit: Nanos) -> Option<(Nanos, u64, T)> {
-        loop {
-            while let Some(head) = self.ready.front() {
-                if head.at > limit {
-                    return None;
-                }
-                let e = self.ready.pop_front().expect("front() was Some");
-                if self.ready.is_empty() {
-                    self.drained_slot = None;
-                }
-                if self.cancelled.remove(&e.seq) {
-                    continue; // len already decremented by cancel()
-                }
-                self.len -= 1;
-                if self.batch_started {
-                    self.batches.inc();
-                } else {
-                    self.batch_started = true;
-                }
-                return Some((e.at, e.seq, e.val));
-            }
-            if !self.refill(limit) {
-                return None;
-            }
+        if self.ready.is_empty() && !self.refill(limit) {
+            return None;
         }
+        if self.ready.front()?.at > limit {
+            return None;
+        }
+        let e = self.ready.pop_front()?;
+        if self.ready.is_empty() {
+            self.drained_slot = None;
+        }
+        self.len -= 1;
+        if self.batch_started {
+            self.batches.inc();
+        } else {
+            self.batch_started = true;
+        }
+        Some((e.at, e.seq, e.val))
     }
 
-    /// Deadline of the earliest pending entry. Exact for everything in
-    /// the wheel proper; a cancelled-but-unreaped entry at the very head
-    /// of the far-future overflow may be reported until reaped (the
-    /// engine never cancels, so its peeks are always exact).
+    /// Deadline of the earliest pending entry.
     pub fn peek_at(&self) -> Option<Nanos> {
         let mut best: Option<Nanos> = None;
         let mut fold = |t: Option<Nanos>| {
@@ -247,47 +230,21 @@ impl<T> TimerWheel<T> {
                 (a, b) => a.or(b),
             };
         };
-        fold(
-            self.ready
-                .iter()
-                .find(|e| !self.cancelled.contains(&e.seq))
-                .map(|e| e.at),
-        );
+        fold(self.ready.front().map(|e| e.at));
         for (i, level) in self.levels.iter().enumerate() {
             fold(self.level_min(level, i));
         }
-        fold(match self.overflow.peek_seq() {
-            Some(seq) if self.cancelled.contains(&seq) => None,
-            _ => self.overflow.peek_at(),
-        });
+        fold(self.overflow.peek_at());
         best
     }
 
-    /// Earliest live deadline stored in `level` (index `i`): walk
-    /// occupied slots cursor-outward; the first slot with a live entry
-    /// holds the level minimum (later slots only hold later deadlines).
+    /// Earliest deadline stored in `level` (index `i`): the first
+    /// occupied slot cursor-outward holds the level minimum (later slots
+    /// only hold later deadlines).
     fn level_min(&self, level: &Level<T>, i: usize) -> Option<Nanos> {
-        let cs = self.cur >> SHIFTS[i];
-        let mut from = (cs as usize) % SLOTS;
-        let mut walked = 0usize;
-        while walked < SLOTS {
-            let d = level.next_occupied(from)?;
-            if walked + d >= SLOTS {
-                return None;
-            }
-            let idx = (from + d) % SLOTS;
-            let min = level.slots[idx]
-                .iter()
-                .filter(|e| !self.cancelled.contains(&e.seq))
-                .map(|e| e.at)
-                .min();
-            if min.is_some() {
-                return min;
-            }
-            walked += d + 1;
-            from = (idx + 1) % SLOTS;
-        }
-        None
+        let from = ((self.cur >> SHIFTS[i]) as usize) % SLOTS;
+        let idx = (from + level.next_occupied(from)?) % SLOTS;
+        level.slots[idx].iter().map(|e| e.at).min()
     }
 
     /// Drop `e` into the innermost level whose window (256 slots from
@@ -312,7 +269,7 @@ impl<T> TimerWheel<T> {
     /// conservatively-early slot start) exceeds `limit`, so the cursor
     /// never outruns the caller's clock.
     fn refill(&mut self, limit: Nanos) -> bool {
-        if self.len == 0 && self.cancelled.is_empty() {
+        if self.len == 0 {
             return false;
         }
         loop {
@@ -376,10 +333,6 @@ impl<T> TimerWheel<T> {
             self.levels[0].unmark(idx);
             batch.sort_unstable_by_key(|e| (e.at, e.seq));
             self.ready.extend(batch);
-            if self.ready.is_empty() {
-                // Slot held only already-reaped storage; keep walking.
-                continue;
-            }
             self.drained_slot = Some(sn);
             self.batch_started = false;
             return true;

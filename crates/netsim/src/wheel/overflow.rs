@@ -58,11 +58,6 @@ impl<T> FarFuture<T> {
         self.heap.peek().map(|e| e.0.at)
     }
 
-    /// Sequence of the earliest stored entry (for exact peeks).
-    pub(super) fn peek_seq(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.0.seq)
-    }
-
     pub(super) fn pop(&mut self) -> Option<Entry<T>> {
         self.heap.pop().map(|e| e.0)
     }

@@ -1,14 +1,14 @@
 //! Scheduler equivalence: the hierarchical timing wheel must be
 //! observationally identical to the sorted `(timestamp, insertion
 //! sequence)` heap it replaced. For arbitrary interleavings of
-//! `schedule` / `cancel` / `advance-and-drain` — deadline mixes spanning
+//! `schedule` / `advance-and-drain` — deadline mixes spanning
 //! every wheel level, the far-future overflow heap, and same-timestamp
 //! ties — both schedulers must emit the exact same pop sequence. This is
 //! the property that pins the engine's documented total order (equal
 //! deadlines fire in insertion order) across the heap → wheel port.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use acdc_netsim::TimerWheel;
 use proptest::prelude::*;
@@ -19,8 +19,6 @@ use proptest::prelude::*;
 enum Op {
     /// Schedule a timer `dt` past the current floor.
     Schedule { dt: u64 },
-    /// Cancel the `pick`-th live timer (modulo how many are live).
-    Cancel { pick: usize },
     /// Advance the clock by `dt` and drain everything due.
     Advance { dt: u64 },
 }
@@ -41,17 +39,15 @@ fn arb_dt() -> impl Strategy<Value = u64> {
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => arb_dt().prop_map(|dt| Op::Schedule { dt }),
-        1 => any::<usize>().prop_map(|pick| Op::Cancel { pick }),
         3 => arb_dt().prop_map(|dt| Op::Advance { dt }),
     ]
 }
 
 /// The reference scheduler: exactly the engine's old implementation — a
-/// min-heap on `(timestamp, sequence)` with lazy cancellation.
+/// min-heap on `(timestamp, sequence)`.
 #[derive(Default)]
 struct HeapModel {
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    cancelled: BTreeSet<u64>,
 }
 
 impl HeapModel {
@@ -59,22 +55,12 @@ impl HeapModel {
         self.heap.push(Reverse((at, seq, val)));
     }
 
-    fn cancel(&mut self, seq: u64) {
-        self.cancelled.insert(seq);
-    }
-
     fn pop_before(&mut self, limit: u64) -> Option<(u64, u64, u32)> {
-        while let Some(&Reverse((at, seq, val))) = self.heap.peek() {
-            if at > limit {
-                return None;
-            }
-            self.heap.pop();
-            if self.cancelled.remove(&seq) {
-                continue;
-            }
-            return Some((at, seq, val));
+        let &Reverse((at, _, _)) = self.heap.peek()?;
+        if at > limit {
+            return None;
         }
-        None
+        self.heap.pop().map(|Reverse(e)| e)
     }
 }
 
@@ -87,7 +73,7 @@ proptest! {
         let mut model = HeapModel::default();
         let mut now = 0u64;
         let mut next_seq = 0u64;
-        let mut live: Vec<u64> = Vec::new(); // seqs scheduled, not popped/cancelled
+        let mut live: Vec<u64> = Vec::new(); // seqs scheduled, not popped
 
         for op in &ops {
             match *op {
@@ -101,14 +87,6 @@ proptest! {
                     wheel.schedule(at, seq, val);
                     model.schedule(at, seq, val);
                     live.push(seq);
-                }
-                Op::Cancel { pick } => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let seq = live.remove(pick % live.len());
-                    wheel.cancel(seq);
-                    model.cancel(seq);
                 }
                 Op::Advance { dt } => {
                     let limit = now + dt;

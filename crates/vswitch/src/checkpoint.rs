@@ -102,7 +102,9 @@ impl HubCheckpoint {
 pub struct FlowCheckpoint {
     /// The flow's 5-tuple key (data direction).
     pub key: FlowKey,
-    /// The slot's lock-free feedback-pending flag.
+    /// Receiver-module bytes await PACK feedback. Derived from the entry
+    /// (`state.rx_total > 0`) and kept in the document for format
+    /// stability; a restore rejects a flow where the two disagree.
     pub rx_pending: bool,
     /// The entry's dynamic state.
     pub state: FlowEntryState,
@@ -480,6 +482,7 @@ enum Json {
 impl Json {
     fn parse(text: &str) -> Result<Json, String> {
         let mut p = Reader {
+            s: text,
             b: text.as_bytes(),
             pos: 0,
         };
@@ -540,6 +543,8 @@ impl Json {
 }
 
 struct Reader<'a> {
+    s: &'a str,
+    /// `s` as bytes, for the ASCII structure of the document.
     b: &'a [u8],
     pos: usize,
 }
@@ -629,11 +634,13 @@ impl Reader<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one UTF-8 scalar (the input is a &str, so
-                    // the boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.b[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().unwrap();
+                    // Advance one UTF-8 scalar. Every other step moves
+                    // over an ASCII byte, so `pos` is a char boundary.
+                    let ch = self
+                        .s
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("string not on a UTF-8 boundary"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -821,6 +828,26 @@ mod tests {
         assert!(DatapathCheckpoint::from_json(&float)
             .unwrap_err()
             .contains("unsigned integers only"));
+    }
+
+    #[test]
+    fn multi_megabyte_multibyte_strings_parse_in_linear_time() {
+        // ≥ 1 MB of two- and three-byte UTF-8 in one string value: a
+        // parser that revalidates the rest of the document per character
+        // takes minutes here.
+        let cc_name = "é€ü".repeat(150_000);
+        assert!(cc_name.len() >= 1 << 20);
+        let mut ckpt = sample_checkpoint();
+        ckpt.flows.push(FlowCheckpoint {
+            key: key(40_002),
+            rx_pending: true,
+            state: FlowEntryState {
+                cc_name,
+                ..sample_state()
+            },
+        });
+        let back = DatapathCheckpoint::from_json(&ckpt.to_json()).expect("parses");
+        assert_eq!(back, ckpt);
     }
 
     #[test]

@@ -579,11 +579,13 @@ impl AcdcDatapath {
     ) -> crate::checkpoint::DatapathCheckpoint {
         use crate::checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint};
         let mut flows: Vec<FlowCheckpoint> = Vec::with_capacity(self.table.len());
-        self.table.for_each_slot(|key, slot| {
+        self.table.for_each(|key, e| {
             flows.push(FlowCheckpoint {
                 key: *key,
-                rx_pending: slot.rx_pending(),
-                state: slot.lock().checkpoint_state(),
+                // Derived, not stored: "receiver-module bytes awaiting
+                // PACK feedback" is exactly `rx_total > 0`.
+                rx_pending: e.rx_total > 0,
+                state: e.checkpoint_state(),
             });
         });
         flows.sort_by_key(|f| f.key);
@@ -625,21 +627,33 @@ impl AcdcDatapath {
         use crate::checkpoint::key_label;
         self.table.clear();
         for f in &ckpt.flows {
-            let (slot, _adm) = self.table.get_or_create(f.key, || {
-                FlowEntry::new(
-                    self.cfg.policy.assign(&f.key),
-                    self.cc_config(),
-                    f.state.last_activity,
-                )
-            });
-            let Some(slot) = slot else {
+            if f.rx_pending != (f.state.rx_total > 0) {
+                return Err(format!(
+                    "flow {} checkpointed rx_pending={} with rx_total={}",
+                    key_label(&f.key),
+                    f.rx_pending,
+                    f.state.rx_total
+                ));
+            }
+            let (restored, _adm) = self.table.with_entry_or_create(
+                f.key,
+                || {
+                    FlowEntry::new(
+                        self.cfg.policy.assign(&f.key),
+                        self.cc_config(),
+                        f.state.last_activity,
+                    )
+                },
+                |e| e.restore_state(&f.state),
+            );
+            let Some(restored) = restored else {
                 return Err(format!(
                     "flow table refused {} during restore (capacity {:?})",
                     key_label(&f.key),
                     self.cfg.max_flows
                 ));
             };
-            if !slot.lock().restore_state(&f.state) {
+            if !restored {
                 return Err(format!(
                     "flow {} checkpointed `{}` CC state the configured policy \
                      does not reproduce",
@@ -647,7 +661,6 @@ impl AcdcDatapath {
                     f.state.cc_name
                 ));
             }
-            slot.set_rx_pending(f.rx_pending);
         }
         self.table.set_epoch(ckpt.gc_epoch);
         self.overload_seen
@@ -741,8 +754,7 @@ impl AcdcDatapath {
             let (tracked, admission) = self.table.with_entry_or_create(
                 key,
                 || FlowEntry::new(self.cfg.policy.assign(&key), self.cc_config(), now),
-                |slot| {
-                    let mut e = slot.entry.lock();
+                |e| {
                     e.last_activity = now;
                     let seq = meta.seq;
                     let seq_end = seq
@@ -832,20 +844,16 @@ impl AcdcDatapath {
 
         // --- Receiver module: attach feedback to ACKs (§3.2) ---
         if flags.contains(TcpFlags::ACK) {
-            // Lock-free probe first: a unidirectional sender has no
-            // receiver-role feedback, so the common data packet skips the
-            // reverse-entry lock (and its `last_activity` touch) entirely.
+            // A unidirectional sender has no receiver-role feedback: the
+            // common data packet leaves the reverse entry (and its
+            // `last_activity`) untouched.
             let feedback = self
                 .table
-                .with_entry(&key.reverse(), |slot| {
-                    if !slot.rx_pending() {
-                        return None;
-                    }
-                    let mut re = slot.entry.lock();
-                    re.last_activity = now;
-                    let fb = (re.rx_total > 0).then(|| re.take_feedback());
-                    slot.set_rx_pending(false);
-                    fb
+                .with_entry(&key.reverse(), |re| {
+                    (re.rx_total > 0).then(|| {
+                        re.last_activity = now;
+                        re.take_feedback()
+                    })
                 })
                 .flatten();
             if let Some((total, marked)) = feedback {
@@ -968,8 +976,7 @@ impl AcdcDatapath {
             let (tracked, admission) = self.table.with_entry_or_create(
                 key,
                 || FlowEntry::new(self.cfg.policy.assign(&key), self.cc_config(), now),
-                |slot| {
-                    let mut e = slot.entry.lock();
+                |e| {
                     e.last_activity = now;
                     e.rx_total += payload_len;
                     e.rx_total_lifetime += payload_len;
@@ -988,8 +995,6 @@ impl AcdcDatapath {
                     if flags.contains(TcpFlags::FIN) {
                         e.closing = true;
                     }
-                    // Publish "feedback pending" for the egress fast path.
-                    slot.set_rx_pending(true);
                 },
             );
             if tracked.is_some() {
@@ -1041,8 +1046,7 @@ impl AcdcDatapath {
     /// Fold a PACK's counters into the sender-role feedback accumulators
     /// of the acked flow.
     fn absorb_feedback(&self, ack_key: &acdc_packet::FlowKey, pack: PackOption) {
-        self.table.with_entry(&ack_key.reverse(), |slot| {
-            let mut e = slot.entry.lock();
+        self.table.with_entry(&ack_key.reverse(), |e| {
             e.fb_total += u64::from(pack.total_bytes);
             e.fb_marked += u64::from(pack.marked_bytes);
             crate::strict_invariant!(
@@ -1071,11 +1075,10 @@ impl AcdcDatapath {
         // CC events are stamped with the *data* direction's key (the flow
         // whose window is being enforced), not the arriving ACK's key.
         let data_key = meta.flow.reverse();
-        // CC events observed under the entry lock, published only after
-        // the guard drops (W002: the event bus must not be entered while
-        // a flow-entry lock is held). Fixed-size, in firing order.
-        let enforced = self.table.with_entry(&data_key, |slot| {
-            let mut e = slot.entry.lock();
+        // CC events observed under the shard lock, published only after
+        // the closure returns (W002: the event bus must not be entered
+        // while a table lock is held). Fixed-size, in firing order.
+        let enforced = self.table.with_entry(&data_key, |e| {
             e.last_activity = now;
             let mut newly_acked = 0u64;
             let mut rtt_sample = None;
@@ -1190,19 +1193,19 @@ impl AcdcDatapath {
         // windows in ACKs *it* will send — i.e. the ACKs of the reverse
         // data direction.
         let rev = key.reverse();
-        let (rentry, radm) = self.table.get_or_create(rev, || {
-            FlowEntry::new(self.cfg.policy.assign(&rev), self.cc_config(), now)
-        });
-        let Some(rentry) = rentry else {
+        let (learned, radm) = self.table.with_entry_or_create(
+            rev,
+            || FlowEntry::new(self.cfg.policy.assign(&rev), self.cc_config(), now),
+            |re| {
+                re.last_activity = now;
+                re.rwnd.learn(wscale.unwrap_or(0));
+            },
+        );
+        if learned.is_none() {
             self.on_admission_reject(obs, now, &rev);
             return;
-        };
-        self.note_admission(obs, now, &rev, radm);
-        {
-            let mut re = rentry.lock();
-            re.last_activity = now;
-            re.rwnd.learn(wscale.unwrap_or(0));
         }
+        self.note_admission(obs, now, &rev, radm);
 
         // The VM originating this SYN is the data sender of `key`; its ECN
         // capability (SYN: ECE|CWR, SYN-ACK: ECE) matters at *its own*
@@ -1213,28 +1216,29 @@ impl AcdcDatapath {
             } else {
                 flags.contains(TcpFlags::ECE) && flags.contains(TcpFlags::CWR)
             };
-            let (entry, adm) = self.table.get_or_create(key, || {
-                FlowEntry::new(self.cfg.policy.assign(&key), self.cc_config(), now)
-            });
-            let Some(entry) = entry else {
+            let (tracked, adm) = self.table.with_entry_or_create(
+                key,
+                || FlowEntry::new(self.cfg.policy.assign(&key), self.cc_config(), now),
+                |e| {
+                    e.last_activity = now;
+                    e.vm_ecn = vm_ecn;
+                    // Initialize sequence tracking from the SYN.
+                    e.snd_una = meta.seq + 1u32;
+                    e.snd_nxt = meta.seq + 1u32;
+                    e.seq_valid = true;
+                },
+            );
+            if tracked.is_none() {
                 self.on_admission_reject(obs, now, &key);
                 return;
-            };
+            }
             self.note_admission(obs, now, &key, adm);
-            let mut e = entry.lock();
-            e.last_activity = now;
-            e.vm_ecn = vm_ecn;
-            // Initialize sequence tracking from the SYN.
-            e.snd_una = meta.seq + 1u32;
-            e.snd_nxt = meta.seq + 1u32;
-            e.seq_valid = true;
         }
     }
 
     fn mark_closing(&self, key: &acdc_packet::FlowKey) {
         for k in [*key, key.reverse()] {
-            self.table
-                .with_entry(&k, |slot| slot.entry.lock().closing = true);
+            self.table.with_entry(&k, |e| e.closing = true);
         }
     }
 
@@ -1247,8 +1251,8 @@ impl AcdcDatapath {
     pub fn tick(&self, now: Nanos) {
         let floor = self.cfg.inactivity_floor;
         // Timeouts are collected during the sweep and published after it:
-        // the event bus must not be entered while the table's per-entry
-        // locks are held (W002). Same per-flow order as before.
+        // the event bus must not be entered while a shard lock is held
+        // (W002). Same per-flow order as before.
         let mut fired: Vec<(acdc_packet::FlowKey, u64)> = Vec::new();
         self.table.for_each(|key, e| {
             if e.seq_valid && e.snd_una < e.snd_nxt {
@@ -1327,15 +1331,14 @@ impl AcdcDatapath {
     /// `Endpoint::seq_view` exposes for its ground truth, so the two
     /// sides compare without tuple plumbing.
     pub fn seq_view(&self, key: &acdc_packet::FlowKey) -> Option<acdc_packet::SeqView> {
-        let entry = self.table.get(key)?;
-        let e = entry.lock();
-        if !e.seq_valid {
-            return None;
-        }
-        Some(acdc_packet::SeqView {
-            snd_una: e.snd_una,
-            snd_nxt: e.snd_nxt,
-        })
+        self.table
+            .with_entry(key, |e| {
+                e.seq_valid.then_some(acdc_packet::SeqView {
+                    snd_una: e.snd_una,
+                    snd_nxt: e.snd_nxt,
+                })
+            })
+            .flatten()
     }
 
     /// Generate a TCP Window Update for the data sender of `key` without
@@ -1345,59 +1348,53 @@ impl AcdcDatapath {
     /// This packet is meant to be *delivered to the local guest* (the data
     /// sender behind this vSwitch).
     pub fn make_window_update(&self, key: &acdc_packet::FlowKey) -> Option<Segment> {
-        let entry = self.table.get(key)?;
-        let e = entry.lock();
-        if !e.seq_valid {
-            return None;
-        }
-        let cwnd = e.cc.cwnd().max(1);
-        let raw = e.rwnd.raw_window(cwnd);
-        let mut t = TcpRepr::new(key.dst_port, key.src_port);
-        t.flags = TcpFlags::ACK;
-        t.ack = e.snd_una;
-        t.seq = acdc_packet::SeqNumber::ZERO; // unknown; guests ignore seq on pure window updates in-window
-        t.window = raw;
-        let ip = Ipv4Repr {
-            src_addr: key.dst_ip,
-            dst_addr: key.src_ip,
-            protocol: acdc_packet::PROTO_TCP,
-            ecn: Ecn::NotEct,
-            payload_len: 0,
-            ttl: Ipv4Repr::DEFAULT_TTL,
-        };
-        Some(Segment::new_tcp(ip, t, 0))
+        let (ack, window) = self
+            .table
+            .with_entry(key, |e| {
+                e.seq_valid
+                    .then(|| (e.snd_una, e.rwnd.raw_window(e.cc.cwnd().max(1))))
+            })
+            .flatten()?;
+        Some(guest_ack(key, ack, window))
     }
 
     /// Generate `n` duplicate ACKs for the data sender of `key` to trigger
     /// its fast retransmit earlier than its (possibly long) RTO (§3.3,
     /// incast mitigation).
     pub fn make_dup_acks(&self, key: &acdc_packet::FlowKey, n: usize) -> Vec<Segment> {
-        let Some(entry) = self.table.get(key) else {
+        let Some((ack, window)) = self
+            .table
+            .with_entry(key, |e| {
+                e.seq_valid
+                    .then(|| (e.snd_una, e.rwnd.raw_window(e.cc.cwnd())))
+            })
+            .flatten()
+        else {
             return Vec::new();
         };
-        let e = entry.lock();
-        if !e.seq_valid {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut t = TcpRepr::new(key.dst_port, key.src_port);
-            t.flags = TcpFlags::ACK;
-            t.ack = e.snd_una;
-            t.seq = acdc_packet::SeqNumber::ZERO;
-            t.window = e.rwnd.raw_window(e.cc.cwnd());
-            let ip = Ipv4Repr {
-                src_addr: key.dst_ip,
-                dst_addr: key.src_ip,
-                protocol: acdc_packet::PROTO_TCP,
-                ecn: Ecn::NotEct,
-                payload_len: 0,
-                ttl: Ipv4Repr::DEFAULT_TTL,
-            };
-            out.push(Segment::new_tcp(ip, t, 0));
-        }
-        out
+        (0..n).map(|_| guest_ack(key, ack, window)).collect()
     }
+}
+
+/// A pure ACK toward the data sender of `key` (receiver → sender),
+/// acknowledging `ack` and advertising the raw `window`. Its sequence
+/// number is unknown to the vSwitch and left zero: guests ignore seq on
+/// in-window pure ACKs.
+fn guest_ack(key: &acdc_packet::FlowKey, ack: acdc_packet::SeqNumber, window: u16) -> Segment {
+    let mut t = TcpRepr::new(key.dst_port, key.src_port);
+    t.flags = TcpFlags::ACK;
+    t.ack = ack;
+    t.seq = acdc_packet::SeqNumber::ZERO;
+    t.window = window;
+    let ip = Ipv4Repr {
+        src_addr: key.dst_ip,
+        dst_addr: key.src_ip,
+        protocol: acdc_packet::PROTO_TCP,
+        ecn: Ecn::NotEct,
+        payload_len: 0,
+        ttl: Ipv4Repr::DEFAULT_TTL,
+    };
+    Segment::new_tcp(ip, t, 0)
 }
 
 /// Build a dedicated FACK: a payload-free copy of `ack` carrying the PACK

@@ -2,14 +2,15 @@
 //!
 //! The paper adds a hash table to OVS keyed by the flow 5-tuple, using RCU
 //! for read-mostly lookups and an individual spinlock per flow entry so
-//! distinct flows update concurrently (§4). The Rust equivalent here is a
-//! *sharded* table — each shard a `parking_lot::RwLock<BTreeMap>` taken
-//! for read on lookup — holding `Arc<FlowSlot>` values (the entry behind
-//! its own lock, plus a lock-free feedback-pending flag). The per-packet
-//! fast path is [`FlowTable::with_entry`]: shard read-lock → per-entry
-//! lock, no `Arc` refcount traffic. Inserts and removals (SYN / FIN +
-//! garbage collection) take the shard writer lock, exactly the "many more
-//! lookups than insertions" profile the paper describes.
+//! distinct flows update concurrently (§4). OVS needs that because every
+//! core shares one kernel table. Here symmetric RSS steering already gives
+//! each flow — both directions — exactly one writing worker, so the table
+//! is a *sharded* map with one lock per shard and nothing per entry: each
+//! shard is a `parking_lot::Mutex<BTreeMap<FlowKey, Box<FlowEntry>>>`.
+//! Every access has one shape — a closure over `&mut FlowEntry` run under
+//! the shard lock ([`FlowTable::with_entry`],
+//! [`FlowTable::with_entry_or_create`], [`FlowTable::for_each`]) — and no
+//! reference to an entry outlives its call.
 //!
 //! Shard *selection* hashes the key with [`FlowKey::hash64`] (FNV-1a over
 //! the 12 key bytes — stable run-to-run and cheap enough for the two
@@ -33,19 +34,19 @@
 
 use std::collections::btree_map::Entry as MapEntry;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use acdc_packet::FlowKey;
 use acdc_stats::time::Nanos;
 use acdc_telemetry::{EventKind, Telemetry};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::entry::FlowEntry;
 
 /// Number of shards (power of two). Sized so that even the 10k-flow CPU
 /// benchmarks keep shards a handful of entries deep: the per-packet cost
-/// is then one FNV hash, one uncontended read lock, and a one-or-two
+/// is then one FNV hash, one uncontended lock, and a one-or-two
 /// comparison tree descent, instead of a deep BTreeMap walk.
 const SHARDS: usize = 1024;
 
@@ -93,47 +94,11 @@ impl Admission {
     }
 }
 
-/// A table slot: the per-flow entry behind its lock, plus the one flag
-/// the egress fast path reads without taking that lock.
-pub struct FlowSlot {
-    /// Mirrors `entry.rx_total > 0` — receiver-module bytes awaiting PACK
-    /// feedback. The egress ACK path probes this with a relaxed load and
-    /// skips the reverse-entry lock entirely in the common unidirectional
-    /// case; it is written back under the entry lock, so a stale `true`
-    /// costs one harmless probe and a stale `false` only defers feedback
-    /// to the next ACK (which is the PACK contract anyway).
-    pub rx_pending: AtomicBool,
-    /// The flow entry proper.
-    pub entry: Mutex<FlowEntry>,
-}
+type Shard = Mutex<BTreeMap<FlowKey, Box<FlowEntry>>>;
 
-impl FlowSlot {
-    fn new(entry: FlowEntry) -> FlowSlot {
-        FlowSlot {
-            rx_pending: AtomicBool::new(false),
-            entry: Mutex::new(entry),
-        }
-    }
-
-    /// Lock the flow entry.
-    pub fn lock(&self) -> MutexGuard<'_, FlowEntry> {
-        self.entry.lock()
-    }
-
-    /// Relaxed probe of the feedback-pending flag.
-    pub fn rx_pending(&self) -> bool {
-        self.rx_pending.load(Ordering::Relaxed)
-    }
-
-    /// Set the feedback-pending flag (call with the entry lock held).
-    pub fn set_rx_pending(&self, pending: bool) {
-        self.rx_pending.store(pending, Ordering::Relaxed);
-    }
-}
-
-/// A sharded flow table: `FlowKey → Arc<FlowSlot>`.
+/// A sharded flow table: `FlowKey → FlowEntry`.
 pub struct FlowTable {
-    shards: Vec<RwLock<BTreeMap<FlowKey, Arc<FlowSlot>>>>,
+    shards: Vec<Shard>,
     /// Tracked-entry count, maintained by reservation: incremented before
     /// a shard insert, decremented on remove/gc/clear. Upper-bounds the
     /// sum of shard lengths at all times, so a capacity check against it
@@ -163,7 +128,7 @@ impl FlowTable {
     /// An empty, unbounded table.
     pub fn new() -> FlowTable {
         FlowTable {
-            shards: (0..SHARDS).map(|_| RwLock::new(BTreeMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
             count: AtomicUsize::new(0),
             max_flows: None,
             admission: AdmissionPolicy::EvictOldestIdle,
@@ -218,22 +183,15 @@ impl FlowTable {
         SHARDS
     }
 
-    fn shard(&self, key: &FlowKey) -> &RwLock<BTreeMap<FlowKey, Arc<FlowSlot>>> {
+    fn shard(&self, key: &FlowKey) -> &Shard {
         &self.shards[Self::shard_of(key)]
     }
 
-    /// Look up an entry (read path: shard read lock only). Clones the
-    /// `Arc` — fine for cold paths; per-packet code uses
-    /// [`FlowTable::with_entry`] to skip the two refcount ops.
-    pub fn get(&self, key: &FlowKey) -> Option<Arc<FlowSlot>> {
-        self.shard(key).read().get(key).cloned()
-    }
-
-    /// Run `f` on the slot for `key`, under the shard read lock, without
-    /// touching the `Arc` refcount. `f` must not call back into the table
-    /// (the shard lock is held).
-    pub fn with_entry<R>(&self, key: &FlowKey, f: impl FnOnce(&FlowSlot) -> R) -> Option<R> {
-        self.shard(key).read().get(key).map(|slot| f(slot))
+    /// Run `f` on the entry for `key` under its shard lock; `None` when
+    /// the key is untracked. `f` must not call back into the table (the
+    /// shard lock is held).
+    pub fn with_entry<R>(&self, key: &FlowKey, f: impl FnOnce(&mut FlowEntry) -> R) -> Option<R> {
+        self.shard(key).lock().get_mut(key).map(|e| f(e))
     }
 
     /// Reserve one slot in `count`, respecting the cap.
@@ -262,12 +220,11 @@ impl FlowTable {
     fn evict_one(&self, avoid: &FlowKey) -> bool {
         let mut victim: Option<(Nanos, FlowKey)> = None;
         for shard in &self.shards {
-            let shard = shard.read();
-            for (k, slot) in shard.iter() {
+            for (k, e) in shard.lock().iter() {
                 if k == avoid {
                     continue;
                 }
-                let cand = (slot.entry.lock().last_activity, *k);
+                let cand = (e.last_activity, *k);
                 if victim.is_none_or(|v| cand < v) {
                     victim = Some(cand);
                 }
@@ -303,7 +260,7 @@ impl FlowTable {
         }
     }
 
-    /// [`FlowTable::with_entry`], creating the slot with `init` when
+    /// [`FlowTable::with_entry`], creating the entry with `init` when
     /// absent — subject to the capacity/admission gate. Same rule: `f`
     /// must not call back into the table. Returns `None` (with
     /// [`Admission::Rejected`]) when the table is full and the policy
@@ -312,82 +269,40 @@ impl FlowTable {
         &self,
         key: FlowKey,
         init: impl FnOnce() -> FlowEntry,
-        f: impl FnOnce(&FlowSlot) -> R,
+        f: impl FnOnce(&mut FlowEntry) -> R,
     ) -> (Option<R>, Admission) {
-        {
-            let shard = self.shard(&key).read();
-            if let Some(slot) = shard.get(&key) {
-                return (Some(f(slot)), Admission::Existing);
-            }
+        if let Some(e) = self.shard(&key).lock().get_mut(&key) {
+            return (Some(f(e)), Admission::Existing);
         }
-        // Admission (and any eviction it entails) happens before the
-        // target shard's write lock is taken: the victim may live in the
-        // same shard, and parking_lot locks are not re-entrant.
+        // Admission (and any eviction it entails) happens with no shard
+        // lock held: the victim may live in the same shard, and the
+        // shard locks are not re-entrant.
         let (reserved, evicted) = self.admit(&key);
         if !reserved {
             return (None, Admission::Rejected);
         }
-        let mut shard = self.shard(&key).write();
+        let mut shard = self.shard(&key).lock();
         match shard.entry(key) {
-            MapEntry::Occupied(o) => {
+            MapEntry::Occupied(mut o) => {
                 // Lost a create race: hand the reservation back.
                 self.release();
-                (Some(f(o.get())), Admission::Existing)
+                (Some(f(o.get_mut())), Admission::Existing)
             }
             MapEntry::Vacant(v) => {
-                let slot = v.insert(Arc::new(FlowSlot::new(init())));
+                let e = v.insert(Box::new(init()));
                 let adm = if evicted > 0 {
                     Admission::CreatedAfterEviction(evicted)
                 } else {
                     Admission::Created
                 };
-                (Some(f(slot)), adm)
-            }
-        }
-    }
-
-    /// Look up or create an entry with `init`, subject to the
-    /// capacity/admission gate. `None` with [`Admission::Rejected`] when
-    /// the table is full and the policy refused the flow.
-    pub fn get_or_create(
-        &self,
-        key: FlowKey,
-        init: impl FnOnce() -> FlowEntry,
-    ) -> (Option<Arc<FlowSlot>>, Admission) {
-        {
-            let shard = self.shard(&key).read();
-            if let Some(slot) = shard.get(&key) {
-                return (Some(Arc::clone(slot)), Admission::Existing);
-            }
-        }
-        // Same ordering rule as `with_entry_or_create`: admit (which may
-        // evict, possibly from this very shard) before the write lock.
-        let (reserved, evicted) = self.admit(&key);
-        if !reserved {
-            return (None, Admission::Rejected);
-        }
-        let mut shard = self.shard(&key).write();
-        match shard.entry(key) {
-            MapEntry::Occupied(o) => {
-                self.release();
-                (Some(Arc::clone(o.get())), Admission::Existing)
-            }
-            MapEntry::Vacant(v) => {
-                let slot = Arc::new(FlowSlot::new(init()));
-                v.insert(Arc::clone(&slot));
-                let adm = if evicted > 0 {
-                    Admission::CreatedAfterEviction(evicted)
-                } else {
-                    Admission::Created
-                };
-                (Some(slot), adm)
+                (Some(f(e)), adm)
             }
         }
     }
 
     /// Remove an entry (FIN teardown).
     pub fn remove(&self, key: &FlowKey) -> bool {
-        let removed = self.shard(key).write().remove(key).is_some();
+        let removed = self.shard(key).lock().remove(key).is_some();
         if removed {
             self.release();
         }
@@ -408,9 +323,7 @@ impl FlowTable {
     pub fn clear(&self) -> usize {
         let mut removed = 0;
         for shard in &self.shards {
-            let mut shard = shard.write();
-            removed += shard.len();
-            shard.clear();
+            removed += std::mem::take(&mut *shard.lock()).len();
         }
         self.count.fetch_sub(removed, Ordering::Relaxed);
         removed
@@ -425,15 +338,13 @@ impl FlowTable {
     /// collected.
     pub fn gc(&self, now: Nanos, idle_timeout: Nanos) -> usize {
         // Evicted keys are collected during the sweep and their events
-        // published only after every shard/entry lock is released (W002:
-        // no event-bus entry while table locks are held). Shard order is
-        // the iteration order, so the event sequence is unchanged.
+        // published only after every shard lock is released (W002: no
+        // event-bus entry while a shard lock is held). Shard order is the
+        // iteration order, so the event sequence is deterministic.
         let epoch = self.epoch();
         let mut evicted: Vec<FlowKey> = Vec::new();
         for shard in &self.shards {
-            let mut shard = shard.write();
-            shard.retain(|key, v| {
-                let e = v.entry.lock();
+            shard.lock().retain(|key, e| {
                 let dead =
                     e.closing || now.saturating_sub(e.last_activity.max(epoch)) > idle_timeout;
                 if dead {
@@ -445,7 +356,7 @@ impl FlowTable {
         self.count.fetch_sub(evicted.len(), Ordering::Relaxed);
         crate::strict_invariant!(
             self.count.load(Ordering::Relaxed)
-                == self.shards.iter().map(|s| s.read().len()).sum::<usize>(),
+                == self.shards.iter().map(|s| s.lock().len()).sum::<usize>(),
             "flow-table count drifted from shard contents after gc"
         );
         if let Some(t) = &self.telemetry {
@@ -456,69 +367,13 @@ impl FlowTable {
         evicted.len()
     }
 
-    /// Visit a batch of keys with the lookups amortized: indices are
-    /// grouped by shard and each distinct shard's read lock is taken
-    /// *once*, instead of once per key. `f(i, slot)` runs for every batch
-    /// position — `slot` is `None` for untracked keys — ordered by shard
-    /// index, then submission order within a shard (deterministic for a
-    /// given batch). Same rule as [`FlowTable::with_entry`]: `f` must not
-    /// call back into the table.
-    pub fn with_batch(&self, keys: &[FlowKey], mut f: impl FnMut(usize, Option<&Arc<FlowSlot>>)) {
-        let mut order: Vec<(u16, u32)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (Self::shard_of(k) as u16, i as u32))
-            .collect();
-        order.sort_unstable();
-        let mut at = 0;
-        while at < order.len() {
-            let shard_idx = order[at].0;
-            let shard = self.shards[usize::from(shard_idx)].read();
-            while at < order.len() && order[at].0 == shard_idx {
-                let i = order[at].1 as usize;
-                f(i, shard.get(&keys[i]));
-                at += 1;
-            }
-        }
-    }
-
-    /// Warm a batch ahead of the touch loop: resolve every key once
-    /// (grouped by shard, like [`FlowTable::with_batch`]) and touch each
-    /// slot's first cache line via the relaxed `rx_pending` load — the
-    /// safe-Rust stand-in for a software prefetch. Returns the resolved
-    /// slots in *submission order*, so the caller's per-packet loop runs
-    /// lock → update → unlock against already-resident slots with no
-    /// further table traffic.
-    pub fn prefetch_batch(&self, keys: &[FlowKey]) -> Vec<Option<Arc<FlowSlot>>> {
-        let mut slots: Vec<Option<Arc<FlowSlot>>> = vec![None; keys.len()];
-        self.with_batch(keys, |i, slot| {
-            slots[i] = slot.map(|s| {
-                let _ = s.rx_pending();
-                Arc::clone(s)
-            });
-        });
-        slots
-    }
-
-    /// Visit every entry (diagnostics, inactivity scans).
+    /// Visit every entry in shard order, then key order within a shard
+    /// (diagnostics, inactivity scans, checkpoint capture). Same rule as
+    /// [`FlowTable::with_entry`]: `f` must not call back into the table.
     pub fn for_each(&self, mut f: impl FnMut(&FlowKey, &mut FlowEntry)) {
         for shard in &self.shards {
-            let shard = shard.read();
-            for (k, v) in shard.iter() {
-                f(k, &mut v.entry.lock());
-            }
-        }
-    }
-
-    /// Visit every *slot* (entry plus the lock-free `rx_pending` flag) —
-    /// the checkpoint capture walk, which needs slot state `for_each`
-    /// hides. Same rule as [`FlowTable::with_entry`]: `f` must not call
-    /// back into the table (the shard read lock is held).
-    pub fn for_each_slot(&self, mut f: impl FnMut(&FlowKey, &FlowSlot)) {
-        for shard in &self.shards {
-            let shard = shard.read();
-            for (k, v) in shard.iter() {
-                f(k, v);
+            for (k, e) in shard.lock().iter_mut() {
+                f(k, e);
             }
         }
     }
@@ -542,20 +397,29 @@ mod tests {
         FlowEntry::new(CcKind::Dctcp, CcConfig::vswitch(1448), now)
     }
 
-    fn create(t: &FlowTable, p: u16, now: Nanos) -> (Arc<FlowSlot>, Admission) {
-        let (slot, adm) = t.get_or_create(key(p), || entry(now));
-        (slot.expect("admitted"), adm)
+    /// Create (or find) flow `p`, stamping `last_activity = now` on a
+    /// fresh entry.
+    fn create(t: &FlowTable, p: u16, now: Nanos) -> Admission {
+        let (r, adm) = t.with_entry_or_create(key(p), || entry(now), |_| ());
+        assert!(r.is_some(), "admitted");
+        adm
+    }
+
+    fn tracked(t: &FlowTable, p: u16) -> bool {
+        t.with_entry(&key(p), |_| ()).is_some()
+    }
+
+    fn set_activity(t: &FlowTable, p: u16, at: Nanos) {
+        t.with_entry(&key(p), |e| e.last_activity = at).unwrap();
     }
 
     #[test]
     fn create_lookup_remove() {
         let t = FlowTable::new();
-        assert!(t.get(&key(1)).is_none());
-        let (e, adm) = create(&t, 1, 0);
-        assert_eq!(adm, Admission::Created);
-        e.lock().last_activity = 42;
-        let e2 = t.get(&key(1)).unwrap();
-        assert_eq!(e2.lock().last_activity, 42);
+        assert!(!tracked(&t, 1));
+        assert_eq!(create(&t, 1, 0), Admission::Created);
+        set_activity(&t, 1, 42);
+        assert_eq!(t.with_entry(&key(1), |e| e.last_activity), Some(42));
         assert_eq!(t.len(), 1);
         assert!(t.remove(&key(1)));
         assert!(t.is_empty());
@@ -563,11 +427,11 @@ mod tests {
     }
 
     #[test]
-    fn get_or_create_is_idempotent() {
+    fn with_entry_or_create_is_idempotent() {
         let t = FlowTable::new();
-        let (a, _) = create(&t, 7, 0);
-        let (b, adm) = create(&t, 7, 99);
-        assert!(Arc::ptr_eq(&a, &b));
+        create(&t, 7, 0);
+        let (seen, adm) = t.with_entry_or_create(key(7), || entry(99), |e| e.last_activity);
+        assert_eq!(seen, Some(0), "the existing entry, not a fresh one");
         assert_eq!(adm, Admission::Existing);
         assert_eq!(t.len(), 1);
     }
@@ -579,7 +443,7 @@ mod tests {
             create(&t, p, 0);
         }
         assert_eq!(t.len(), 1000);
-        let nonempty = t.shards.iter().filter(|s| !s.read().is_empty()).count();
+        let nonempty = t.shards.iter().filter(|s| !s.lock().is_empty()).count();
         assert!(nonempty > SHARDS / 2, "poor shard distribution: {nonempty}");
     }
 
@@ -587,17 +451,19 @@ mod tests {
     fn gc_collects_idle_and_closed() {
         let t = FlowTable::new();
         create(&t, 1, 0); // idle since t=0
-        let (fresh, _) = create(&t, 2, 0);
-        fresh.lock().last_activity = 1_000_000_000;
-        let (closed, _) = create(&t, 3, 0);
-        closed.lock().last_activity = 1_000_000_000;
-        closed.lock().closing = true;
+        create(&t, 2, 0);
+        set_activity(&t, 2, 1_000_000_000);
+        create(&t, 3, 0);
+        t.with_entry(&key(3), |e| {
+            e.last_activity = 1_000_000_000;
+            e.closing = true;
+        });
         let n = t.gc(1_000_000_001, 500_000_000);
         assert_eq!(n, 2);
         assert_eq!(t.len(), 1);
-        assert!(t.get(&key(1)).is_none());
-        assert!(t.get(&key(2)).is_some());
-        assert!(t.get(&key(3)).is_none());
+        assert!(!tracked(&t, 1));
+        assert!(tracked(&t, 2));
+        assert!(!tracked(&t, 3));
     }
 
     #[test]
@@ -608,10 +474,10 @@ mod tests {
         // Without an epoch stamp this entry would be collected instantly.
         t.set_epoch(2_000_000_000);
         assert_eq!(t.gc(2_000_000_001, 500_000_000), 0);
-        assert!(t.get(&key(1)).is_some(), "epoch shields pre-epoch idleness");
+        assert!(tracked(&t, 1), "epoch shields pre-epoch idleness");
         // Once genuinely idle *past* the epoch, collection proceeds.
         assert_eq!(t.gc(2_600_000_001, 500_000_000), 1);
-        assert!(t.get(&key(1)).is_none());
+        assert!(!tracked(&t, 1));
         // Epoch stamps never move backwards.
         t.set_epoch(1_000_000_000);
         assert_eq!(t.epoch(), 2_000_000_000);
@@ -620,33 +486,32 @@ mod tests {
     #[test]
     fn bounded_reject_new_refuses_at_capacity() {
         let t = FlowTable::bounded(2, AdmissionPolicy::RejectNew);
-        assert_eq!(create(&t, 1, 0).1, Admission::Created);
-        assert_eq!(create(&t, 2, 0).1, Admission::Created);
-        let (slot, adm) = t.get_or_create(key(3), || entry(0));
-        assert!(slot.is_none());
+        assert_eq!(create(&t, 1, 0), Admission::Created);
+        assert_eq!(create(&t, 2, 0), Admission::Created);
+        let (r, adm) = t.with_entry_or_create(key(3), || entry(0), |_| ());
+        assert!(r.is_none());
         assert_eq!(adm, Admission::Rejected);
         assert_eq!(t.len(), 2);
         // Existing keys still resolve at capacity.
-        assert_eq!(create(&t, 1, 0).1, Admission::Existing);
+        assert_eq!(create(&t, 1, 0), Admission::Existing);
         // Freeing a slot re-opens admission.
         assert!(t.remove(&key(1)));
-        assert_eq!(create(&t, 3, 0).1, Admission::Created);
+        assert_eq!(create(&t, 3, 0), Admission::Created);
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn bounded_evict_oldest_idle_is_deterministic() {
         let t = FlowTable::bounded(2, AdmissionPolicy::EvictOldestIdle);
-        let (a, _) = create(&t, 1, 0);
-        a.lock().last_activity = 100;
-        let (b, _) = create(&t, 2, 0);
-        b.lock().last_activity = 50; // oldest → the victim
-        let (_, adm) = create(&t, 3, 0);
-        assert_eq!(adm, Admission::CreatedAfterEviction(1));
+        create(&t, 1, 0);
+        set_activity(&t, 1, 100);
+        create(&t, 2, 0);
+        set_activity(&t, 2, 50); // oldest → the victim
+        assert_eq!(create(&t, 3, 0), Admission::CreatedAfterEviction(1));
         assert_eq!(t.len(), 2);
-        assert!(t.get(&key(2)).is_none(), "oldest-idle entry evicted");
-        assert!(t.get(&key(1)).is_some());
-        assert!(t.get(&key(3)).is_some());
+        assert!(!tracked(&t, 2), "oldest-idle entry evicted");
+        assert!(tracked(&t, 1));
+        assert!(tracked(&t, 3));
     }
 
     #[test]
@@ -655,9 +520,9 @@ mod tests {
         create(&t, 9, 0);
         create(&t, 4, 0); // same last_activity; smaller port loses
         create(&t, 7, 0);
-        assert!(t.get(&key(4)).is_none(), "smallest key evicted on tie");
-        assert!(t.get(&key(9)).is_some());
-        assert!(t.get(&key(7)).is_some());
+        assert!(!tracked(&t, 4), "smallest key evicted on tie");
+        assert!(tracked(&t, 9));
+        assert!(tracked(&t, 7));
     }
 
     #[test]
@@ -677,79 +542,26 @@ mod tests {
         create(&t, 2, 0);
         assert_eq!(t.clear(), 2);
         assert!(t.is_empty());
-        assert_eq!(create(&t, 3, 0).1, Admission::Created);
+        assert_eq!(create(&t, 3, 0), Admission::Created);
     }
 
     #[test]
-    fn with_batch_visits_every_position_once() {
+    fn for_each_visits_in_shard_then_key_order() {
         let t = FlowTable::new();
-        for p in 0..64 {
+        for p in 0..200 {
             create(&t, p, 0);
         }
-        // Mix of tracked, untracked, and duplicate keys.
-        let keys: Vec<FlowKey> = (0..96).map(|p| key(p % 80)).collect();
-        let mut seen = vec![0u32; keys.len()];
-        let mut hits = 0;
-        t.with_batch(&keys, |i, slot| {
-            seen[i] += 1;
-            if let Some(s) = slot {
-                s.lock().last_activity = 7;
-                hits += 1;
-            }
+        let mut seen = Vec::new();
+        t.for_each(|k, e| {
+            e.last_activity = 7;
+            seen.push((FlowTable::shard_of(k), *k));
         });
-        assert!(seen.iter().all(|&n| n == 1), "each position exactly once");
-        let expected_hits = keys
-            .iter()
-            .filter(|k| u32::from(k.src_port) % 80 < 64)
-            .count();
-        assert_eq!(hits, expected_hits);
-    }
-
-    #[test]
-    fn with_batch_groups_by_shard_deterministically() {
-        let t = FlowTable::new();
-        for p in 0..32 {
-            create(&t, p, 0);
-        }
-        let keys: Vec<FlowKey> = (0..32).map(key).collect();
-        let visit = |t: &FlowTable| {
-            let mut order = Vec::new();
-            t.with_batch(&keys, |i, _| order.push(i));
-            order
-        };
-        let first = visit(&t);
-        assert_eq!(first, visit(&t), "same batch ⇒ same visit order");
-        // Within a shard group, submission order is preserved.
-        let mut shards_seen = Vec::new();
-        for &i in &first {
-            let s = FlowTable::shard_of(&keys[i]);
-            if shards_seen.last() != Some(&s) {
-                shards_seen.push(s);
-            }
-        }
-        let mut sorted = shards_seen.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(
-            shards_seen, sorted,
-            "shard groups visited in ascending order"
+        assert_eq!(seen.len(), 200);
+        assert!(
+            seen.windows(2).all(|w| w[0] < w[1]),
+            "shard, then key order"
         );
-    }
-
-    #[test]
-    fn prefetch_batch_resolves_in_submission_order() {
-        let t = FlowTable::new();
-        create(&t, 1, 0);
-        create(&t, 3, 0);
-        let keys = [key(1), key(2), key(3)];
-        let slots = t.prefetch_batch(&keys);
-        assert!(slots[0].is_some());
-        assert!(slots[1].is_none());
-        assert!(slots[2].is_some());
-        assert!(Arc::ptr_eq(
-            slots[0].as_ref().unwrap(),
-            &t.get(&key(1)).unwrap()
-        ));
+        assert!((0..200).all(|p| t.with_entry(&key(p), |e| e.last_activity) == Some(7)));
     }
 
     #[test]
@@ -760,7 +572,7 @@ mod tests {
         }
         for p in 0..200 {
             let k = key(p);
-            let shard = t.shards[FlowTable::shard_of(&k)].read();
+            let shard = t.shards[FlowTable::shard_of(&k)].lock();
             assert!(shard.contains_key(&k));
         }
         assert!(FlowTable::shard_count().is_power_of_two());
@@ -775,9 +587,10 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..250u16 {
                     let k = key(tid * 250 + i);
-                    let (e, _) = t.get_or_create(k, || entry(0));
-                    e.unwrap().lock().last_activity = u64::from(i);
-                    assert!(t.get(&k).is_some());
+                    let (r, _) =
+                        t.with_entry_or_create(k, || entry(0), |e| e.last_activity = u64::from(i));
+                    assert!(r.is_some());
+                    assert!(t.with_entry(&k, |_| ()).is_some());
                 }
             }));
         }

@@ -114,12 +114,14 @@ fn handshake_creates_entries_and_records_wscale() {
     let (dpa, dpb) = rig(false);
     assert!(dpa.flows() >= 2, "two directions tracked");
     assert!(dpb.flows() >= 2);
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let e = e.lock();
-    // ACKs for A→B data come from B, which advertised wscale 9.
-    assert_eq!(e.rwnd.wscale(), 9);
-    assert!(e.seq_valid);
-    assert_eq!(e.snd_una, SeqNumber(ISS_A + 1));
+    dpa.table()
+        .with_entry(&key_ab(), |e| {
+            // ACKs for A→B data come from B, which advertised wscale 9.
+            assert_eq!(e.rwnd.wscale(), 9);
+            assert!(e.seq_valid);
+            assert_eq!(e.snd_una, SeqNumber(ISS_A + 1));
+        })
+        .unwrap();
 }
 
 #[test]
@@ -159,10 +161,12 @@ fn receiver_module_strips_ce_and_counts() {
     assert_eq!(delivered.ecn(), Ecn::NotEct);
     assert!(!delivered.tcp().vm_ece());
     assert!(delivered.verify_checksums());
-    let e = dpb.table().get(&key_ab()).unwrap();
-    let e = e.lock();
-    assert_eq!(e.rx_total, MSS as u64);
-    assert_eq!(e.rx_marked, MSS as u64);
+    dpb.table()
+        .with_entry(&key_ab(), |e| {
+            assert_eq!(e.rx_total, MSS as u64);
+            assert_eq!(e.rx_marked, MSS as u64);
+        })
+        .unwrap();
 }
 
 #[test]
@@ -211,8 +215,10 @@ fn ack_carries_pack_and_sender_consumes_it() {
         1
     );
     // Connection tracking advanced.
-    let e = dpa.table().get(&key_ab()).unwrap();
-    assert_eq!(e.lock().snd_una, SeqNumber(ISS_A + 1 + MSS as u32));
+    assert_eq!(
+        dpa.table().with_entry(&key_ab(), |e| e.snd_una).unwrap(),
+        SeqNumber(ISS_A + 1 + MSS as u32)
+    );
 }
 
 #[test]
@@ -229,8 +235,7 @@ fn rwnd_rewritten_smaller_with_wscale() {
         .unwrap();
     let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
 
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let cwnd = e.lock().cc.cwnd();
+    let cwnd = dpa.table().with_entry(&key_ab(), |e| e.cc.cwnd()).unwrap();
     let expect_raw = (cwnd >> 9).max(1) as u16;
     assert_eq!(delivered.tcp().window(), expect_raw);
     assert!(u64::from(delivered.tcp().window()) < 65_000);
@@ -342,8 +347,7 @@ fn policing_drops_nonconforming_flow() {
         }
     }
     assert_eq!(dropped, 7, "20 sent, 13 allowed");
-    let e = dpa.table().get(&key_ab()).unwrap();
-    assert_eq!(e.lock().policed, 7);
+    assert_eq!(dpa.table().with_entry(&key_ab(), |e| e.policed).unwrap(), 7);
 }
 
 #[test]
@@ -367,10 +371,12 @@ fn log_only_mode_computes_but_does_not_rewrite() {
     let delivered = dpa.ingress(22_000, a).forwarded().unwrap();
     assert_eq!(delivered.tcp().window(), 65_000, "log-only: untouched");
 
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let e = e.lock();
-    assert!(e.rwnd.target() > 0);
-    assert!(e.rwnd.trace().unwrap().len() == 1);
+    dpa.table()
+        .with_entry(&key_ab(), |e| {
+            assert!(e.rwnd.target() > 0);
+            assert!(e.rwnd.trace().unwrap().len() == 1);
+        })
+        .unwrap();
 }
 
 #[test]
@@ -392,8 +398,7 @@ fn dupacks_trigger_inferred_fast_retransmit() {
         .forwarded()
         .unwrap();
     dpa.ingress(22_000, a).forwarded().unwrap();
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let cwnd_before = e.lock().cc.cwnd();
+    let cwnd_before = dpa.table().with_entry(&key_ab(), |e| e.cc.cwnd()).unwrap();
     for i in 0..3 {
         let a = dpb
             .egress(23_000 + i, ack(MSS as u32, 65_000))
@@ -407,8 +412,10 @@ fn dupacks_trigger_inferred_fast_retransmit() {
             .load(std::sync::atomic::Ordering::Relaxed),
         1
     );
-    let e = dpa.table().get(&key_ab()).unwrap();
-    assert!(e.lock().cc.cwnd() < cwnd_before, "window cut on 3 dupacks");
+    assert!(
+        dpa.table().with_entry(&key_ab(), |e| e.cc.cwnd()).unwrap() < cwnd_before,
+        "window cut on 3 dupacks"
+    );
 }
 
 #[test]
@@ -434,8 +441,10 @@ fn per_flow_policy_assigns_different_algorithms() {
     let dp = AcdcDatapath::new(cfg);
     // Intra-DC data flow.
     dp.egress(0, data(0, MSS, Ecn::NotEct));
-    let e = dp.table().get(&key_ab()).unwrap();
-    assert_eq!(e.lock().cc.name(), "dctcp");
+    assert_eq!(
+        dp.table().with_entry(&key_ab(), |e| e.cc.name()).unwrap(),
+        "dctcp"
+    );
 
     // WAN-bound flow.
     let mut t = TcpRepr::new(AP, 443);
@@ -444,8 +453,10 @@ fn per_flow_policy_assigns_different_algorithms() {
     let wan = Segment::new_tcp(ip(A, [93, 184, 216, 34], Ecn::NotEct), t, MSS);
     let wan_key = wan.flow_key();
     dp.egress(0, wan);
-    let e = dp.table().get(&wan_key).unwrap();
-    assert_eq!(e.lock().cc.name(), "cubic");
+    assert_eq!(
+        dp.table().with_entry(&wan_key, |e| e.cc.name()).unwrap(),
+        "cubic"
+    );
 }
 
 #[test]
@@ -474,8 +485,8 @@ fn window_update_generation() {
     let wu = dpa.make_window_update(&key_ab()).expect("window update");
     assert!(wu.is_pure_ack());
     assert_eq!(wu.flow_key(), key_ab().reverse());
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let raw = (e.lock().cc.cwnd() >> 9).max(1) as u16;
+    let cwnd = dpa.table().with_entry(&key_ab(), |e| e.cc.cwnd()).unwrap();
+    let raw = (cwnd >> 9).max(1) as u16;
     assert_eq!(wu.tcp().window(), raw);
     assert!(wu.verify_checksums());
 }
@@ -506,8 +517,7 @@ fn inactivity_tick_infers_timeout() {
         .forwarded()
         .unwrap();
     dpb.ingress(11_000, d).forwarded().unwrap();
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let cwnd_before = e.lock().cc.cwnd();
+    let cwnd_before = dpa.table().with_entry(&key_ab(), |e| e.cc.cwnd()).unwrap();
     // 50 ms later (RTOmin floor is 10 ms) the tick must infer a timeout.
     dpa.tick(50_000_000);
     assert_eq!(
@@ -516,8 +526,7 @@ fn inactivity_tick_infers_timeout() {
             .load(std::sync::atomic::Ordering::Relaxed),
         1
     );
-    let e = dpa.table().get(&key_ab()).unwrap();
-    assert!(e.lock().cc.cwnd() < cwnd_before);
+    assert!(dpa.table().with_entry(&key_ab(), |e| e.cc.cwnd()).unwrap() < cwnd_before);
     // A second immediate tick must not double-fire.
     dpa.tick(50_000_001);
     assert_eq!(
@@ -546,8 +555,7 @@ fn pack_feedback_drives_dctcp_cut() {
             .unwrap();
         dpa.ingress(13_000 + i, a).forwarded().unwrap();
     }
-    let e = dpa.table().get(&key_ab()).unwrap();
-    let before = e.lock().cc.cwnd();
+    let before = dpa.table().with_entry(&key_ab(), |e| e.cc.cwnd()).unwrap();
 
     // Now a marked round: data CE-marked → PACK reports it → cut.
     let mut d = dpa
@@ -561,9 +569,8 @@ fn pack_feedback_drives_dctcp_cut() {
     assert!(a.tcp().pack_option().unwrap().marked_bytes > 0);
     dpa.ingress(53_000, a).forwarded().unwrap();
 
-    let e = dpa.table().get(&key_ab()).unwrap();
     assert!(
-        e.lock().cc.cwnd() < before,
+        dpa.table().with_entry(&key_ab(), |e| e.cc.cwnd()).unwrap() < before,
         "marked feedback must shrink the enforced window"
     );
 }
@@ -712,12 +719,12 @@ fn adopted_flow_stays_log_only_until_handshake() {
     dpa.egress(1_000, data(0, MSS, Ecn::NotEct))
         .forwarded()
         .unwrap();
-    {
-        let e = dpa.table().get(&key_ab()).unwrap();
-        let e = e.lock();
-        assert!(e.seq_valid);
-        assert!(!e.rwnd.learned(), "no handshake → scale unlearned");
-    }
+    dpa.table()
+        .with_entry(&key_ab(), |e| {
+            assert!(e.seq_valid);
+            assert!(!e.rwnd.learned(), "no handshake → scale unlearned");
+        })
+        .unwrap();
     // This ACK would be rewritten (the initial DCTCP window is far below
     // 65 000 B) had the scale been learned; adopted flows are left alone.
     let a = dpa
@@ -892,8 +899,8 @@ fn checkpoint_restore_continues_byte_identically() {
     assert_eq!(a1.header_bytes(), a2.header_bytes());
     assert_eq!(dpa.counters().snapshot(), fresh.counters().snapshot());
     assert_eq!(
-        dpa.table().get(&key_ab()).unwrap().lock().snd_una,
-        fresh.table().get(&key_ab()).unwrap().lock().snd_una
+        dpa.table().with_entry(&key_ab(), |e| e.snd_una).unwrap(),
+        fresh.table().with_entry(&key_ab(), |e| e.snd_una).unwrap()
     );
 }
 
@@ -912,6 +919,49 @@ fn restore_rejects_cc_policy_mismatch() {
 }
 
 #[test]
+fn restore_rejects_rx_pending_that_disagrees_with_rx_total() {
+    // The checkpoint is input from outside the program: `rx_pending` is
+    // derived from `rx_total`, so a document where they disagree is
+    // refused rather than silently reinterpreted.
+    let (dpa, dpb) = rig(false);
+    let d = dpa
+        .egress(10_000, data(0, MSS, Ecn::NotEct))
+        .forwarded()
+        .unwrap();
+    dpb.ingress(11_000, d).forwarded().unwrap();
+    let ckpt = dpb.checkpoint(20_000, &[]);
+    let pending = ckpt
+        .flows
+        .iter()
+        .position(|f| f.state.rx_total > 0)
+        .expect("receiver has feedback pending");
+    assert!(ckpt.flows[pending].rx_pending, "capture derives the flag");
+    let json = ckpt.to_json();
+    assert!(AcdcDatapath::new(AcdcConfig::dctcp(MTU))
+        .restore(&acdc_vswitch::DatapathCheckpoint::from_json(&json).unwrap())
+        .is_ok());
+
+    let mut bad = ckpt.clone();
+    bad.flows[pending].rx_pending = false;
+    let bad = acdc_vswitch::DatapathCheckpoint::from_json(&bad.to_json()).unwrap();
+    let err = AcdcDatapath::new(AcdcConfig::dctcp(MTU))
+        .restore(&bad)
+        .unwrap_err();
+    assert!(err.contains("rx_pending"), "names the field: {err}");
+
+    let mut bad = ckpt;
+    let idle = bad
+        .flows
+        .iter()
+        .position(|f| f.state.rx_total == 0)
+        .expect("reverse entry has nothing pending");
+    bad.flows[idle].rx_pending = true;
+    assert!(AcdcDatapath::new(AcdcConfig::dctcp(MTU))
+        .restore(&bad)
+        .is_err());
+}
+
+#[test]
 fn restore_preserves_unlearned_scale_semantics() {
     // A mid-stream adopted flow (no handshake seen) must stay log-only
     // across a checkpoint/restore cycle — restoring never invents a
@@ -923,10 +973,13 @@ fn restore_preserves_unlearned_scale_semantics() {
     let ckpt = dpa.checkpoint(2_000, &[]);
     let fresh = AcdcDatapath::new(AcdcConfig::dctcp(MTU));
     fresh.restore(&ckpt).unwrap();
-    {
-        let e = fresh.table().get(&key_ab()).unwrap();
-        assert!(!e.lock().rwnd.learned(), "scale still unlearned");
-    }
+    assert!(
+        !fresh
+            .table()
+            .with_entry(&key_ab(), |e| e.rwnd.learned())
+            .unwrap(),
+        "scale still unlearned"
+    );
     let a = fresh
         .ingress(3_000, ack(MSS as u32, 65_000))
         .forwarded()

@@ -13,7 +13,7 @@ const CAP: usize = 8;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// get_or_create the keyed flow, stamping `last_activity`.
+    /// with_entry_or_create the keyed flow, stamping `last_activity`.
     Create(u8, u16),
     /// Remove the keyed flow if present.
     Remove(u8),
@@ -55,19 +55,15 @@ fn run_ops(policy: AdmissionPolicy, ops: &[Op]) -> (Vec<Admission>, Vec<u16>) {
         match *op {
             Op::Create(k, now) => {
                 let now = u64::from(now);
-                let (slot, adm) = t.get_or_create(key(k), || entry(now));
-                if let Some(slot) = slot {
-                    slot.lock().last_activity = now;
-                }
+                let (_, adm) =
+                    t.with_entry_or_create(key(k), || entry(now), |e| e.last_activity = now);
                 admissions.push(adm);
             }
             Op::Remove(k) => {
                 t.remove(&key(k));
             }
             Op::Touch(k, now) => {
-                if let Some(slot) = t.get(&key(k)) {
-                    slot.lock().last_activity = u64::from(now);
-                }
+                t.with_entry(&key(k), |e| e.last_activity = u64::from(now));
             }
             Op::Gc(now) => {
                 t.gc(u64::from(now), 250);
@@ -117,13 +113,13 @@ proptest! {
     #[test]
     fn reject_new_never_displaces(extra in prop::collection::vec(0u8..32, 1..40)) {
         let t = FlowTable::bounded(2, AdmissionPolicy::RejectNew);
-        t.get_or_create(key(100), || entry(0)).0.unwrap();
-        t.get_or_create(key(101), || entry(0)).0.unwrap();
+        t.with_entry_or_create(key(100), || entry(0), |_| ()).0.unwrap();
+        t.with_entry_or_create(key(101), || entry(0), |_| ()).0.unwrap();
         for k in extra {
-            t.get_or_create(key(k), || entry(1));
+            t.with_entry_or_create(key(k), || entry(1), |_| ());
         }
-        prop_assert!(t.get(&key(100)).is_some());
-        prop_assert!(t.get(&key(101)).is_some());
+        prop_assert!(t.with_entry(&key(100), |_| ()).is_some());
+        prop_assert!(t.with_entry(&key(101), |_| ()).is_some());
         prop_assert_eq!(t.len(), 2);
     }
 }

@@ -37,18 +37,19 @@
 //!   is identical to the single-threaded path for **any** N: N only
 //!   routes where counters bump and events record, and merged counter
 //!   totals equal the N=1 totals exactly.
-//! * [`WorkerEngine::process_batch`] / [`process_batch_parallel`] — the
-//!   throughput path (benches, order-insensitive tests). Packets are
-//!   grouped per worker, each worker's flow keys are warmed through the
-//!   table's batched, shard-grouped pre-pass
-//!   ([`acdc_vswitch::FlowTable::prefetch_batch`]), and each worker then
-//!   processes its group in submission order. Packets of one flow —
-//!   both directions — always stay on one worker in submission order; batches
-//!   where distinct workers' flows are independent (the RSS assumption —
-//!   true for the bench workloads and the determinism suite) therefore
-//!   produce worker-count-independent per-flow state and merged counter
-//!   totals. Verdicts are returned in submission order regardless of
-//!   which worker produced them.
+//! * [`WorkerEngine::process_batch_parallel`] — the throughput path
+//!   (benches, order-insensitive tests). Packets are grouped per worker
+//!   and each worker's OS thread processes its group in submission
+//!   order. Packets of one flow — both directions — always stay on one
+//!   worker in submission order; batches where distinct workers' flows
+//!   are independent (the RSS assumption — true for the bench workloads
+//!   and the determinism suite) therefore produce worker-count-independent
+//!   per-flow state and merged counter totals. Verdicts are returned in
+//!   submission order regardless of which worker produced them.
+//!
+//! Workers share the datapath's flow table. It has one lock per shard
+//! and none per entry: steering already makes each entry single-writer,
+//! so the shard lock only has to keep the shard's map itself coherent.
 //!
 //! Global state transitions (health ladder, gc, occupancy gauges) stay
 //! on the datapath's main hub no matter which worker processed the

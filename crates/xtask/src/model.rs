@@ -3,18 +3,19 @@
 //! The lint pass (`rules::lint_lines`) is line-local: every check is a
 //! token match on one line. The write-scope and lock-order rules need
 //! more: *which struct* a field belongs to, *which impl block* a
-//! `self.field` write sits in, and *which lock guards are live* when a
-//! table call or event publish happens. This module builds that model on
-//! top of the comment/string-stripped code channel from [`crate::scan`]
-//! — still dependency-free, still token-level, but item-aware.
+//! `self.field` write sits in, and *whether a table closure is open*
+//! when a table call or event publish happens. This module builds that
+//! model on top of the comment/string-stripped code channel from
+//! [`crate::scan`] — still dependency-free, still token-level, but
+//! item-aware.
 //!
 //! The model is deliberately approximate (no type inference): a write
 //! through `self` resolves to the enclosing `impl` target precisely; a
 //! write through any other receiver is attributed by field *name* and
 //! checked against every component claiming that name (see
-//! `scopes::check_write_scopes`). Lock tracking is lexical: a guard from
-//! `let g = x.lock();` lives until its enclosing scope closes or a
-//! `drop(g)` appears.
+//! `scopes::check_write_scopes`). Lock tracking is lexical: a flow-table
+//! closure accessor holds its shard lock until the call's parentheses
+//! close.
 
 use crate::scan::SourceFile;
 
@@ -525,183 +526,82 @@ fn collect_writes(code: &str, lineno: usize, out: &mut Vec<WriteSite>) {
 // Lock-order analysis (rule W002)
 // ----------------------------------------------------------------------
 
-/// What a live guard is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GuardKind {
-    /// A flow-entry mutex guard (`….lock()`), or the implicit per-entry
-    /// lock a `for_each` closure body runs under.
-    Entry,
-    /// A shard `RwLock` guard (`….read()` / `….write()`), or the implicit
-    /// shard lock a `with_entry*` / `get_or_create` closure runs under.
-    Shard,
-}
-
-#[derive(Debug)]
-struct Guard {
-    name: Option<String>,
-    kind: GuardKind,
-    /// The guard dies when nesting depth drops below this.
-    drop_below: i32,
-}
-
 /// A W002 candidate: `(1-based line, message)`.
 pub type LockFinding = (usize, String);
 
-/// Tokens that re-enter the flow table (each takes shard locks, and the
-/// closure-taking ones hold one across their closure).
-const TABLE_TOKENS: &[&str] = &[
-    "with_entry_or_create",
-    "with_entry",
-    "get_or_create",
-    "for_each",
-];
+/// The flow table's closure accessors: each runs its closure argument
+/// under a shard lock.
+const TABLE_TOKENS: &[&str] = &["with_entry_or_create", "with_entry", "for_each"];
 
-/// Lexical lock-order pass over one file. Tracks `let g = ….lock()` /
-/// `.read()` / `.write()` guard bindings (combined brace/paren/bracket
-/// nesting depth) plus the implicit locks held across `with_entry*` /
-/// `get_or_create` / `for_each` closures, and reports:
+/// Lexical pass over one file for the flow table's one lock: the shard
+/// lock held across a `with_entry` / `with_entry_or_create` / `for_each`
+/// closure, modelled as held until the call's parentheses close. Inside
+/// such a call it reports:
 ///
-/// * a flow-entry `.lock()` while another entry guard is live
-///   (unordered entry→entry nesting — the classic AB/BA deadlock);
-/// * a table re-entry (`with_entry*`, `get_or_create`, `for_each`,
-///   `.gc(`, `.clear(`) while an entry or shard guard is live;
-/// * an event-bus publish (`.record(`, `.publish(`) while an entry
-///   guard is live.
+/// * a table re-entry (another closure accessor, `.gc(`, `.clear(`):
+///   shard locks are not re-entrant, so this self-deadlocks whenever the
+///   two keys share a shard;
+/// * an event-bus publish (`.record(`, `.publish(`): publishing takes
+///   the telemetry lock, extending the shard's critical section and
+///   ordering it against an unrelated subsystem.
 pub fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
     let mut findings = Vec::new();
     let mut depth: i32 = 0;
-    let mut guards: Vec<Guard> = Vec::new();
+    // One entry per open table call: the depth inside its parentheses.
+    let mut held: Vec<i32> = Vec::new();
 
     for (idx, line) in file.lines.iter().enumerate() {
         let lineno = idx + 1;
         let code = line.code.as_str();
-        if code.trim().is_empty() {
-            continue;
-        }
-        let line_start_depth = depth;
-        let let_name = let_binding_name(code);
-
         let bytes = code.as_bytes();
         let mut i = 0usize;
         while i < bytes.len() {
-            let c = bytes[i] as char;
-            match c {
-                '{' | '(' | '[' => depth += 1,
-                '}' | ')' | ']' => {
+            match bytes[i] {
+                b'{' | b'(' | b'[' => depth += 1,
+                b'}' | b')' | b']' => {
                     depth -= 1;
-                    guards.retain(|g| depth >= g.drop_below);
+                    held.retain(|&d| depth >= d);
                 }
                 _ => {}
             }
-
-            // `drop(name)` ends a guard early.
-            if token_at(code, i, "drop") && code[i + 4..].trim_start().starts_with('(') {
-                let arg_start = i + 4 + code[i + 4..].find('(').unwrap() + 1;
-                let (recv, _, _) = path_after(code, arg_start);
-                if let Receiver::Ident(name) = recv {
-                    guards.retain(|g| g.name.as_deref() != Some(name.as_str()));
-                }
-            }
-
-            let entry_live = guards.iter().any(|g| g.kind == GuardKind::Entry);
-            let any_live = !guards.is_empty();
-
-            if code[i..].starts_with(".lock()") {
-                if entry_live {
-                    findings.push((
-                        lineno,
-                        "flow-entry lock acquired while another entry guard is live \
-                         (unordered entry→entry nesting deadlocks under contention); \
-                         release the first guard before locking the second entry"
-                            .to_string(),
-                    ));
-                }
-                // Register a persistent guard only for a statement-level
-                // `let g = ….lock();` (a `.lock()` nested in call
-                // arguments yields a temporary that dies with the
-                // statement).
-                if let (Some(name), true) = (&let_name, depth == line_start_depth) {
-                    guards.push(Guard {
-                        name: Some(name.clone()),
-                        kind: GuardKind::Entry,
-                        drop_below: line_start_depth,
-                    });
-                }
-                i += ".lock()".len();
-                continue;
-            }
-            if code[i..].starts_with(".read()") || code[i..].starts_with(".write()") {
-                if entry_live {
-                    findings.push((
-                        lineno,
-                        "shard lock acquired while a flow-entry guard is live \
-                         (the sanctioned order is shard→entry; inverting it \
-                         deadlocks against the per-packet path)"
-                            .to_string(),
-                    ));
-                }
-                if let (Some(name), true) = (&let_name, depth == line_start_depth) {
-                    guards.push(Guard {
-                        name: Some(name.clone()),
-                        kind: GuardKind::Shard,
-                        drop_below: line_start_depth,
-                    });
-                }
-                i += ".read()".len();
-                continue;
-            }
+            let locked = !held.is_empty();
 
             if let Some(tok) = TABLE_TOKENS.iter().find(|t| token_at(code, i, t)) {
-                if any_live {
+                if locked {
                     findings.push((
                         lineno,
                         format!(
-                            "`{tok}` re-enters the flow table while a lock guard is \
-                             live; table ops take shard locks, so this nests \
-                             lock acquisitions the worker model cannot order"
+                            "`{tok}` re-enters the flow table inside a table closure; \
+                             the shard lock is held and not re-entrant — return what \
+                             you need from the first closure and call again after it"
                         ),
                     ));
                 }
-                // The closure argument runs under the table's own lock:
-                // model it as an implicit guard scoped to the call's
-                // parentheses.
-                let kind = if *tok == "for_each" {
-                    GuardKind::Entry // for_each holds shard *and* entry locks
-                } else {
-                    GuardKind::Shard
-                };
                 i += tok.len();
                 if let Some(rel) = code[i..].find('(') {
                     if code[i..i + rel].trim().is_empty() {
                         i += rel + 1;
                         depth += 1;
-                        guards.push(Guard {
-                            name: None,
-                            kind,
-                            drop_below: depth,
-                        });
+                        held.push(depth);
                     }
                 }
                 continue;
             }
-            if (code[i..].starts_with(".gc(") || code[i..].starts_with(".clear(")) && any_live {
+            if locked && (code[i..].starts_with(".gc(") || code[i..].starts_with(".clear(")) {
                 findings.push((
                     lineno,
-                    "table maintenance call while a lock guard is live; \
-                     gc/clear take every shard writer lock in turn"
+                    "table maintenance call inside a table closure; gc/clear \
+                     take every shard lock in turn, including the one held"
                         .to_string(),
                 ));
             }
-            if (code[i..].starts_with(".record(") || code[i..].starts_with(".publish("))
-                && entry_live
-            {
+            if locked && (code[i..].starts_with(".record(") || code[i..].starts_with(".publish(")) {
                 findings.push((
                     lineno,
-                    "event-bus publish while a flow-entry guard is live; \
-                     publishing takes the telemetry lock, extending the \
-                     per-flow critical section and ordering it against an \
-                     unrelated subsystem — buffer the event and publish \
-                     after the guard drops"
+                    "event-bus publish inside a table closure; publishing takes \
+                     the telemetry lock, extending the shard's critical section \
+                     and ordering it against an unrelated subsystem — buffer the \
+                     event and publish after the closure returns"
                         .to_string(),
                 ));
             }
@@ -710,19 +610,6 @@ pub fn lock_order(file: &SourceFile) -> Vec<LockFinding> {
         }
     }
     findings
-}
-
-/// `let [mut] NAME =` at the start of a (trimmed) line → `NAME`.
-fn let_binding_name(code: &str) -> Option<String> {
-    let t = code.trim_start();
-    let rest = t.strip_prefix("let ")?;
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-    let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
-    if name.is_empty() {
-        return None;
-    }
-    let after = rest[name.len()..].trim_start();
-    (after.starts_with('=') || after.starts_with(':')).then_some(name)
 }
 
 /// Is `tok` present at byte offset `at` with identifier boundaries?
@@ -855,69 +742,39 @@ mod tests {
     }
 
     #[test]
-    fn nested_entry_locks_fire() {
+    fn table_reentry_inside_closure_fires() {
         let f = locks(
-            "fn f(a: &FlowSlot, b: &FlowSlot) {\n\
-             \x20   let ga = a.entry.lock();\n\
-             \x20   let gb = b.entry.lock();\n\
+            "fn f(&self) {\n\
+             \x20   self.table.with_entry(&a, |e| {\n\
+             \x20       self.table.with_entry(&b, |r| r.closing = true);\n\
+             \x20   });\n\
              }\n",
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].0, 3);
-    }
-
-    #[test]
-    fn sequential_scoped_locks_do_not_fire() {
-        let f = locks(
-            "fn f(a: &FlowSlot, b: &FlowSlot) {\n\
-             \x20   {\n        let ga = a.entry.lock();\n    }\n\
-             \x20   let gb = b.entry.lock();\n\
-             }\n",
-        );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn drop_ends_a_guard() {
-        let f = locks(
-            "fn f(a: &FlowSlot, b: &FlowSlot) {\n\
-             \x20   let ga = a.entry.lock();\n\
-             \x20   drop(ga);\n\
-             \x20   let gb = b.entry.lock();\n\
-             }\n",
-        );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn shard_then_entry_is_sanctioned() {
-        let f = locks(
-            "fn f(&self) {\n\
-             \x20   let shard = self.shards[0].read();\n\
-             \x20   let e = slot.entry.lock();\n\
-             }\n",
-        );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn table_reentry_under_entry_guard_fires() {
-        let f = locks(
-            "fn f(&self) {\n\
-             \x20   let e = slot.entry.lock();\n\
-             \x20   self.table.with_entry(&key, |s| s.rx_pending());\n\
-             }\n",
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].1.contains("with_entry"));
     }
 
     #[test]
-    fn publish_under_entry_guard_fires_inside_closures_too() {
+    fn sequential_closures_do_not_fire() {
         let f = locks(
             "fn f(&self) {\n\
-             \x20   self.table.with_entry(&key, |slot| {\n\
-             \x20       let mut e = slot.entry.lock();\n\
+             \x20   let fb = self.table.with_entry(&a, |e| e.take_feedback());\n\
+             \x20   self.table.with_entry_or_create(b, mk, |e| {\n\
+             \x20       e.rx_total += 1;\n\
+             \x20   });\n\
+             \x20   self.table.gc(now, idle);\n\
+             }\n",
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn publish_inside_with_entry_closure_fires() {
+        let f = locks(
+            "fn f(&self) {\n\
+             \x20   self.table.with_entry(&key, |e| {\n\
+             \x20       e.closing = true;\n\
              \x20       self.telemetry.record(now, key, EventKind::FlowCreated);\n\
              \x20   });\n\
              }\n",
@@ -930,8 +787,7 @@ mod tests {
     fn publish_after_closure_is_clean() {
         let f = locks(
             "fn f(&self) {\n\
-             \x20   self.table.with_entry(&key, |slot| {\n\
-             \x20       let mut e = slot.entry.lock();\n\
+             \x20   self.table.with_entry(&key, |e| {\n\
              \x20       e.rx_total += 1;\n\
              \x20   });\n\
              \x20   self.telemetry.record(now, key, EventKind::FlowCreated);\n\
@@ -941,24 +797,28 @@ mod tests {
     }
 
     #[test]
-    fn for_each_closure_counts_as_entry_locked() {
+    fn for_each_closure_holds_the_lock() {
         let f = locks(
             "fn f(&self) {\n\
              \x20   self.table.for_each(|key, e| {\n\
              \x20       self.telemetry.record(now, *key, EventKind::FlowCreated);\n\
+             \x20       self.table.clear();\n\
              \x20   });\n\
              }\n",
         );
-        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f.len(), 2, "{f:?}");
     }
 
     #[test]
-    fn temporary_guard_in_closure_does_not_leak() {
-        // `slot.entry.lock().closing = true` inside a with_entry closure:
-        // entry-under-shard is the sanctioned order, nothing fires.
+    fn explicit_shard_locks_are_not_closures() {
+        // The table's own shard walk locks directly and clears the map
+        // it holds: that is not a re-entry.
         let f = locks(
-            "fn f(&self) {\n\
-             \x20   self.table.with_entry(&k, |slot| slot.entry.lock().closing = true);\n\
+            "fn clear(&self) {\n\
+             \x20   for shard in &self.shards {\n\
+             \x20       let mut shard = shard.lock();\n\
+             \x20       shard.clear();\n\
+             \x20   }\n\
              }\n",
         );
         assert!(f.is_empty(), "{f:?}");

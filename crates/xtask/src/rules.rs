@@ -111,7 +111,7 @@ pub static P004: Rule = Rule {
 pub static P005: Rule = Rule {
     id: "P005",
     name: "flow-admission",
-    summary: "no FlowTable::get_or_create/with_entry_or_create outside \
+    summary: "no FlowTable::with_entry_or_create outside \
               vswitch table.rs/datapath.rs (every flow entry must pass the \
               bounded-admission gate so capacity and health accounting hold)",
 };
@@ -160,9 +160,9 @@ pub static W001: Rule = Rule {
 pub static W002: Rule = Rule {
     id: "W002",
     name: "lock-order",
-    summary: "no nested flow-entry lock acquisitions, no table re-entry and \
-              no event-bus publish while a FlowSlot/shard guard is live \
-              (analyze; crates/vswitch — the deadlock shapes the worker \
+    summary: "no table re-entry and no event-bus publish inside a flow-table \
+              closure (with_entry/with_entry_or_create/for_each hold a shard \
+              lock; analyze; crates/vswitch — the deadlock shapes the worker \
               model must never ship)",
 };
 
@@ -469,16 +469,11 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
             }
         }
 
-        if p005_scope {
-            for tok in ["get_or_create", "with_entry_or_create"] {
-                if contains_token(code, tok) {
-                    hits.push((
-                        &P005,
-                        format!("`{tok}` mints flow entries outside the vswitch admission path; route flow creation through AcdcDatapath so capacity bounds and health accounting hold"),
-                    ));
-                    break;
-                }
-            }
+        if p005_scope && contains_token(code, "with_entry_or_create") {
+            hits.push((
+                &P005,
+                "`with_entry_or_create` mints flow entries outside the vswitch admission path; route flow creation through AcdcDatapath so capacity bounds and health accounting hold".to_string(),
+            ));
         }
 
         if p002_scope
@@ -756,7 +751,7 @@ mod tests {
 
     #[test]
     fn w002_scoped_to_vswitch_src() {
-        let src = "fn f(a: &FlowSlot, b: &FlowSlot) {\n    let ga = a.entry.lock();\n    let gb = b.entry.lock();\n}\n";
+        let src = "fn f(&self) {\n    self.table.with_entry(&a, |e| self.table.with_entry(&b, |r| r.closing = true));\n}\n";
         assert_eq!(analyze("crates/vswitch/src/x.rs", src), vec!["W002"]);
         assert!(analyze("crates/core/src/x.rs", src).is_empty());
     }
@@ -852,7 +847,7 @@ mod tests {
 
     #[test]
     fn p005_confines_flow_creation_to_the_admission_path() {
-        let create = "let (slot, adm) = self.table.get_or_create(key, mk);\n";
+        let create = "let (r, adm) = self.table.with_entry_or_create(key, mk, f);\n";
         let with = "let (r, adm) = table.with_entry_or_create(key, now, f);\n";
         assert_eq!(run("crates/core/src/x.rs", create), vec!["P005"]);
         assert_eq!(run("crates/netsim/src/x.rs", with), vec!["P005"]);
@@ -863,7 +858,7 @@ mod tests {
         assert!(run("crates/vswitch/tests/x.rs", create).is_empty());
         assert!(run("crates/bench/benches/flowtable.rs", create).is_empty());
         // Identifier boundaries: a longer name must not fire.
-        assert!(run("crates/core/src/x.rs", "let x = slot_get_or_created();\n").is_empty());
+        assert!(run("crates/core/src/x.rs", "let x = with_entry_or_created();\n").is_empty());
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! Reading claimed state (and sequential, properly scoped locking) is
-//! fine anywhere; only writes cross the component boundary.
+//! Reading claimed state (and sequential, one-at-a-time table closures)
+//! is fine anywhere; only writes cross the component boundary.
 
 use crate::rwnd::Rewriter;
-use crate::table::FlowSlot;
+use crate::table::FlowTable;
 
-pub fn observe(r: &Rewriter, a: &FlowSlot, b: &FlowSlot) -> bool {
-    {
-        let _ga = a.entry.lock();
-    }
-    let _gb = b.entry.lock();
-    r.is_learned()
+pub fn observe(r: &Rewriter, table: &FlowTable, a: &FlowKey, b: &FlowKey) -> bool {
+    let closing = table.with_entry(a, |e| e.closing);
+    let _ = table.with_entry(b, |e| e.closing);
+    r.is_learned() && closing.is_some()
 }

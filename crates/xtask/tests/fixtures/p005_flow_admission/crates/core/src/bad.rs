@@ -1,3 +1,3 @@
 pub fn sidestep_admission(table: &FlowTable, key: FlowKey) {
-    let (_slot, _adm) = table.get_or_create(key, make_entry);
+    let (_seen, _adm) = table.with_entry_or_create(key, make_entry, |_| ());
 }

@@ -1,10 +1,12 @@
-//! Unordered entry→entry lock nesting: the second `.lock()` while the
-//! first guard is live is the single W002 finding.
+//! Table re-entry from inside a table closure: the inner `with_entry`
+//! runs while the outer closure still holds its shard lock, which
+//! self-deadlocks whenever both keys share a shard. It is the single
+//! W002 finding.
 
-use crate::table::FlowSlot;
+use crate::table::FlowTable;
 
-pub fn transfer(a: &FlowSlot, b: &FlowSlot) {
-    let ga = a.entry.lock();
-    let gb = b.entry.lock();
-    let _ = (ga, gb);
+pub fn mirror_closing(table: &FlowTable, key: &FlowKey) {
+    table.with_entry(key, |e| {
+        table.with_entry(&key.reverse(), |r| r.closing = e.closing);
+    });
 }

@@ -53,8 +53,8 @@ stage_analyze() {
 }
 
 stage_test() {
-    echo "==> cargo test"
-    cargo test -q
+    echo "==> cargo test --workspace"
+    cargo test --workspace -q
 
     echo "==> packet pipeline proptests (meta/checksum coherence)"
     cargo test -q -p acdc-packet --test meta_coherence --test props

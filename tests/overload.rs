@@ -158,16 +158,16 @@ fn run_reset() -> (Snap, Snap, LinkFaultStats, u64, u64) {
     assert_eq!(get(&c0, "datapath_resets"), 1);
     {
         let dp = tb.host_mut(0).datapath();
-        let adopted = dp.table().get(&h.key).expect("flow re-adopted");
-        assert!(
-            !adopted.lock().rwnd.learned(),
-            "adopted entry must not claim a learned scale"
-        );
-        let fresh = dp.table().get(&h2.key).expect("post-reset flow tracked");
-        assert!(
-            fresh.lock().rwnd.learned(),
-            "handshake observed → scale learned"
-        );
+        let adopted = dp
+            .table()
+            .with_entry(&h.key, |e| e.rwnd.learned())
+            .expect("flow re-adopted");
+        assert!(!adopted, "adopted entry must not claim a learned scale");
+        let fresh = dp
+            .table()
+            .with_entry(&h2.key, |e| e.rwnd.learned())
+            .expect("post-reset flow tracked");
+        assert!(fresh, "handshake observed → scale learned");
         // The restart epoch is on the health trace.
         let trace = dp.health_trace();
         assert_eq!(

@@ -103,9 +103,9 @@ fn computed_window_tracks_native_dctcp() {
     let cwnd = tb.host_mut(0).cwnd_trace(conn).unwrap().clone();
     let rwnd = {
         let dp = tb.host_mut(0).datapath();
-        let e = dp.table().get(&h.key).unwrap();
-        let guard = e.lock();
-        guard.rwnd.trace().unwrap().to_vec()
+        dp.table()
+            .with_entry(&h.key, |e| e.rwnd.trace().unwrap().to_vec())
+            .unwrap()
     };
     assert!(rwnd.len() > 100, "enough samples: {}", rwnd.len());
 

@@ -43,7 +43,7 @@ fn flowtable(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lookup_and_lock", n), &n, |b, &n| {
             b.iter(|| {
                 i = (i + 1) % n;
-                std::hint::black_box(table.with_entry(&key(i), |e| e.dupacks).unwrap())
+                std::hint::black_box(table.with_entry(&key(i), |e| e.dupacks()).unwrap())
             })
         });
     }

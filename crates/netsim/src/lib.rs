@@ -33,3 +33,15 @@ pub use tokenbucket::TokenBucket;
 pub use wheel::TimerWheel;
 
 pub use acdc_stats::time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
+
+const fn assert_send_sync<T: Send + Sync>() {}
+
+// The switch model and the scheduler's building blocks stay thread-ready:
+// the build fails if any of them loses `Send + Sync`. `Network` itself is
+// not `Send` (its nodes are `Box<dyn Node>`), so the engine as a whole
+// still runs on one thread.
+const _: () = {
+    assert_send_sync::<SwitchNode>();
+    assert_send_sync::<TokenBucket>();
+    assert_send_sync::<TimerWheel<u64>>();
+};

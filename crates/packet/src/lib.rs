@@ -49,6 +49,15 @@ pub use tcp::{TcpFlags, TcpOption, TcpPacket, TcpRepr};
 pub use udp::{UdpPacket, UdpRepr};
 pub use window::{scale_rwnd, scale_rwnd_nonzero, unscale_rwnd, MAX_WSCALE};
 
+const fn assert_send_sync<T: Send + Sync>() {}
+
+// Segments move between the run-to-completion workers and the pool is
+// shared by all of them: the build fails if either loses `Send + Sync`.
+const _: () = {
+    assert_send_sync::<Segment>();
+    assert_send_sync::<SegmentPool>();
+};
+
 /// Errors produced when parsing malformed packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Error {

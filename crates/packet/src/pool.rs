@@ -23,11 +23,11 @@
 //!   recycle through its own shard and the common case never contends.
 //!
 //! All shard state is `Mutex`/atomic only — the pool lives in the packet
-//! hot path, which rule W003 requires to stay `Send + Sync`. Locks are
-//! `try_lock` with neighbor-shard fallback: a contended shard is skipped,
-//! never waited on, so the pool can stall nothing. The shard map is
-//! claimed in `scopes.toml` (component `packet.segment-pool`, rule W001):
-//! only this file may touch the free lists.
+//! hot path, which must stay `Send + Sync` (a `const` assertion in the
+//! crate root fails the build otherwise). Locks are `try_lock` with
+//! neighbor-shard fallback: a contended shard is skipped, never waited
+//! on, so the pool can stall nothing. The shard map is private: only
+//! this file may touch the free lists.
 //!
 //! # Determinism
 //!

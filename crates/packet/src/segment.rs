@@ -26,9 +26,9 @@
 //! view invalidated the cache) lands in a [`OnceLock`] fallback slot.
 //! That makes `Segment` freely movable between the run-to-completion
 //! workers of `acdc-workers` (DESIGN.md §13) with no interior-mutability
-//! hazards — the `RefCell` this replaced was the last W003
-//! thread-readiness grandfather in the packet pipeline — without paying
-//! the `Once` synchronization path on every locally built packet.
+//! hazards (a `const` assertion in the crate root keeps it `Send +
+//! Sync`) without paying the `Once` synchronization path on every
+//! locally built packet.
 
 use std::sync::OnceLock;
 
@@ -823,12 +823,6 @@ mod tests {
         r.flags = TcpFlags::ACK;
         r.window = 1234;
         r
-    }
-
-    #[test]
-    fn segment_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Segment>();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The invariant watchdog: hard contracts checked throughout the soak.
 //!
-//! `acdc-scope: soak.watchdog` — the cross-sample history (previous
-//! counter values, drop tally, wedge streak) is written only here.
+//! The cross-sample history (previous counter values, drop tally, wedge
+//! streak) lives in private fields, written only here.
 //!
 //! The driver hands the watchdog a [`WatchdogSample`] every few
 //! maintenance ticks; the watchdog enforces the catalog below and

@@ -1,12 +1,18 @@
 //! Connection management: the RFC 793 state machine, ISN bookkeeping,
 //! MSS negotiation and the FIN lifecycle.
 //!
-//! `acdc-scope: endpoint.conn-mgmt` — every mutation of connection-
-//! lifecycle state lives in this file; the [`Endpoint`] orchestrator and
-//! the other components read it through the accessor methods only. The
-//! write-scope manifest (`crates/xtask/scopes.toml`) makes that contract
-//! machine-checked: `xtask analyze` flags any write to these fields from
-//! another file.
+//! Every mutation of connection-lifecycle state lives in this file; the
+//! [`Endpoint`] orchestrator and the other components read it through
+//! the accessor methods only. The fields are private, so the compiler
+//! rejects a write from anywhere else:
+//!
+//! ```compile_fail,E0616
+//! fn f(c: &mut acdc_tcp::conn::ConnMgmt) { c.fin_queued = true; }
+//! ```
+//!
+//! ```
+//! fn f(c: &mut acdc_tcp::conn::ConnMgmt) { c.fin_queued(); }
+//! ```
 //!
 //! [`Endpoint`]: crate::Endpoint
 

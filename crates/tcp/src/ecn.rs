@@ -1,10 +1,19 @@
 //! ECN signalling state: negotiation, the DCTCP accurate-echo /
 //! classic-ECE receiver state, and the sender-side CWR/cut bookkeeping.
 //!
-//! `acdc-scope: endpoint.ecn` — every mutation of the ECN echo and cut
-//! state lives in this file. The congestion-control *reaction* to these
-//! signals stays in the pluggable `acdc-cc` box; this component only
-//! tracks what must be echoed or signalled on the wire.
+//! Every mutation of the ECN echo and cut state lives in this file. The
+//! congestion-control *reaction* to these signals stays in the pluggable
+//! `acdc-cc` box; this component only tracks what must be echoed or
+//! signalled on the wire. The fields are private, so the compiler
+//! rejects a write from anywhere else:
+//!
+//! ```compile_fail,E0616
+//! fn f(s: &mut acdc_tcp::ecn::EcnSignal) { s.ece_latch = true; }
+//! ```
+//!
+//! ```
+//! fn f(s: &mut acdc_tcp::ecn::EcnSignal) { s.ece_latch(); }
+//! ```
 //!
 //! [`Endpoint`]: crate::Endpoint
 

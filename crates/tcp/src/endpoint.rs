@@ -10,9 +10,8 @@
 //! wraparound while the wire format stays faithful.
 //!
 //! The endpoint itself is an *orchestrator* over five disjoint-write
-//! components, each owning its mutable state in its own module (the
-//! write-scope manifest `crates/xtask/scopes.toml` enforces the split;
-//! see DESIGN.md §14):
+//! components, each owning its mutable state in private fields of its
+//! own module, so the compiler enforces the split (DESIGN.md §14):
 //!
 //! - [`ConnMgmt`](crate::conn::ConnMgmt) — the RFC 793 state machine,
 //!   ISN/MSS negotiation and the FIN lifecycle;

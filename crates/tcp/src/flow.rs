@@ -1,12 +1,20 @@
 //! Peer flow control: the advertised-window view of the receiver and
 //! the zero-window (persist) probe machinery.
 //!
-//! `acdc-scope: endpoint.flow-ctrl` — every mutation of the peer-window
-//! state and the persist timer lives in this file. After AC/DC
-//! rewriting, the window tracked here *is* the enforced window: the
-//! vSwitch's `RwndRewriter` stamps its computed value into every ACK
-//! before the guest stack sees it, so the endpoint needs no knowledge of
-//! the enforcement at all (paper §3.3).
+//! Every mutation of the peer-window state and the persist timer lives
+//! in this file. After AC/DC rewriting, the window tracked here *is* the
+//! enforced window: the vSwitch's `RwndRewriter` stamps its computed
+//! value into every ACK before the guest stack sees it, so the endpoint
+//! needs no knowledge of the enforcement at all (paper §3.3). The fields
+//! are private, so the compiler rejects a write from anywhere else:
+//!
+//! ```compile_fail,E0616
+//! fn f(w: &mut acdc_tcp::flow::FlowCtrl) { w.peer_rwnd = 0; }
+//! ```
+//!
+//! ```
+//! fn f(w: &mut acdc_tcp::flow::FlowCtrl) { w.peer_rwnd(); }
+//! ```
 //!
 //! [`Endpoint`]: crate::Endpoint
 

@@ -1,10 +1,19 @@
 //! Receive-side state: in-order delivery, out-of-order reassembly, the
 //! peer-FIN offset and the delayed-ACK machinery.
 //!
-//! `acdc-scope: endpoint.receive` — every mutation of `rcv_nxt`, the
-//! out-of-order range set and the ACK-scheduling state lives in this
-//! file. The simulated application drains in-order data instantly, so
-//! "delivered" and "in-order received" coincide.
+//! Every mutation of `rcv_nxt`, the out-of-order range set and the
+//! ACK-scheduling state lives in this file. The simulated application
+//! drains in-order data instantly, so "delivered" and "in-order
+//! received" coincide. The fields are private, so the compiler rejects
+//! a write from anywhere else:
+//!
+//! ```compile_fail,E0616
+//! fn f(r: &mut acdc_tcp::receive::Receive) { r.rcv_nxt = 0; }
+//! ```
+//!
+//! ```
+//! fn f(r: &mut acdc_tcp::receive::Receive) { r.rcv_nxt(); }
+//! ```
 //!
 //! [`Endpoint`]: crate::Endpoint
 

@@ -1,13 +1,21 @@
 //! Send-side reliable delivery: the sliding send pointers, NewReno loss
 //! recovery, Karn RTT estimation and the retransmission/backoff timer.
 //!
-//! `acdc-scope: endpoint.reliable-delivery` — every mutation of the send
-//! pointers (`snd_una`/`snd_nxt`/`snd_max`), the recovery state and the
-//! RTO machinery lives in this file. The [`Endpoint`] orchestrator reads
-//! the pointers through views (notably [`SeqView`], the shared currency
-//! for comparing against the vSwitch's passively reconstructed state)
-//! and drives transitions through the methods here; `xtask analyze`
-//! rejects writes from any other file.
+//! Every mutation of the send pointers (`snd_una`/`snd_nxt`/`snd_max`),
+//! the recovery state and the RTO machinery lives in this file. The
+//! [`Endpoint`] orchestrator reads the pointers through views (notably
+//! [`SeqView`], the shared currency for comparing against the vSwitch's
+//! passively reconstructed state) and drives transitions through the
+//! methods here. The fields are private, so the compiler rejects a
+//! write from anywhere else:
+//!
+//! ```compile_fail,E0616
+//! fn f(r: &mut acdc_tcp::reliable::ReliableDelivery) { r.snd_una = 0; }
+//! ```
+//!
+//! ```
+//! fn f(r: &mut acdc_tcp::reliable::ReliableDelivery) { r.snd_una(); }
+//! ```
 //!
 //! All offsets are 64-bit stream positions (0 = first payload byte);
 //! wire-sequence conversion happens at the [`Endpoint`] packet boundary.

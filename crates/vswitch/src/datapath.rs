@@ -24,7 +24,6 @@ use crate::health::{HealthCell, HealthState, Watermarks};
 use crate::policy::CcPolicy;
 use crate::rwnd::RwndAction;
 use crate::table::{Admission, AdmissionPolicy, FlowTable};
-use crate::vcc::AckSignals;
 
 /// Datapath configuration.
 #[derive(Debug, Clone)]
@@ -580,12 +579,13 @@ impl AcdcDatapath {
         use crate::checkpoint::{DatapathCheckpoint, FlowCheckpoint, HubCheckpoint};
         let mut flows: Vec<FlowCheckpoint> = Vec::with_capacity(self.table.len());
         self.table.for_each(|key, e| {
+            let state = e.checkpoint_state();
             flows.push(FlowCheckpoint {
                 key: *key,
                 // Derived, not stored: "receiver-module bytes awaiting
                 // PACK feedback" is exactly `rx_total > 0`.
-                rx_pending: e.rx_total > 0,
-                state: e.checkpoint_state(),
+                rx_pending: state.rx_total > 0,
+                state,
             });
         });
         flows.sort_by_key(|f| f.key);
@@ -653,14 +653,7 @@ impl AcdcDatapath {
                     self.cfg.max_flows
                 ));
             };
-            if !restored {
-                return Err(format!(
-                    "flow {} checkpointed `{}` CC state the configured policy \
-                     does not reproduce",
-                    key_label(&f.key),
-                    f.state.cc_name
-                ));
-            }
+            restored.map_err(|e| format!("flow {} {e}", key_label(&f.key)))?;
         }
         self.table.set_epoch(ckpt.gc_epoch);
         self.overload_seen
@@ -751,56 +744,23 @@ impl AcdcDatapath {
         // --- Sender module: data packets ---
         if seg.payload_len() > 0 || flags.contains(TcpFlags::FIN) {
             let payload_len = seg.payload_len();
+            // Policing: a conforming stack never sends beyond the window
+            // we enforced; drop the excess of one that does (§3.3).
+            let police = self
+                .cfg
+                .police_slack_bytes
+                .filter(|_| !log_only && payload_len > 0);
             let (tracked, admission) = self.table.with_entry_or_create(
                 key,
                 || FlowEntry::new(self.cfg.policy.assign(&key), self.cc_config(), now),
                 |e| {
-                    e.last_activity = now;
-                    let seq = meta.seq;
-                    let seq_end = seq
-                        + (payload_len as u32)
-                        + if flags.contains(TcpFlags::FIN) {
-                            1u32
-                        } else {
-                            0u32
-                        };
-                    if !e.seq_valid {
-                        e.snd_una = seq;
-                        e.snd_nxt = seq_end;
-                        e.seq_valid = true;
-                    }
-
-                    // Policing: a conforming stack never sends beyond the
-                    // window we enforced; drop the excess of one that
-                    // does (§3.3). A window we never rewrote (unlearned
-                    // scale) was never enforced, so it is not policed.
-                    if let Some(slack) = self.cfg.police_slack_bytes {
-                        if !log_only && e.rwnd.learned() && payload_len > 0 {
-                            let allowed_end = e.snd_una + (e.cc.cwnd() + slack) as usize;
-                            if seq_end > allowed_end {
-                                e.policed += 1;
-                                return Err(());
-                            }
-                        }
-                    }
-
-                    if seq_end > e.snd_nxt {
-                        e.snd_nxt = seq_end;
-                        if e.rtt_probe.is_none() {
-                            e.rtt_probe = Some((seq_end, now));
-                        }
-                    } else if seq < e.snd_nxt {
-                        // Retransmission: invalidate the RTT probe (Karn).
-                        if let Some((p, _)) = e.rtt_probe {
-                            if seq < p {
-                                e.rtt_probe = None;
-                            }
-                        }
-                    }
-                    if flags.contains(TcpFlags::FIN) {
-                        e.closing = true;
-                    }
-                    Ok(e.vm_ecn)
+                    e.on_egress_data(
+                        now,
+                        meta.seq,
+                        payload_len as u32,
+                        flags.contains(TcpFlags::FIN),
+                        police,
+                    )
                 },
             );
             let vm_ecn = match tracked {
@@ -814,11 +774,11 @@ impl AcdcDatapath {
                     self.note_admission(obs, now, &key, admission);
                     v
                 }
-                Some(Err(())) => {
+                Some(Err(reason)) => {
                     AcdcCounters::bump(&obs.counters.policed_drops);
                     obs.telemetry
                         .record(now, key, EventKind::PacketDropped { cause: "policed" });
-                    return Verdict::Drop(DropReason::Policed);
+                    return Verdict::Drop(reason);
                 }
             };
 
@@ -849,18 +809,9 @@ impl AcdcDatapath {
             // `last_activity`) untouched.
             let feedback = self
                 .table
-                .with_entry(&key.reverse(), |re| {
-                    (re.rx_total > 0).then(|| {
-                        re.last_activity = now;
-                        re.take_feedback()
-                    })
-                })
+                .with_entry(&key.reverse(), |re| re.drain_feedback(now))
                 .flatten();
-            if let Some((total, marked)) = feedback {
-                let pack = PackOption {
-                    total_bytes: total,
-                    marked_bytes: marked,
-                };
+            if let Some(pack) = feedback {
                 if seg.wire_len() + PackOption::WIRE_LEN <= self.cfg.mtu
                     && seg.append_pack_in_place(pack)
                 {
@@ -976,26 +927,7 @@ impl AcdcDatapath {
             let (tracked, admission) = self.table.with_entry_or_create(
                 key,
                 || FlowEntry::new(self.cfg.policy.assign(&key), self.cc_config(), now),
-                |e| {
-                    e.last_activity = now;
-                    e.rx_total += payload_len;
-                    e.rx_total_lifetime += payload_len;
-                    if ce {
-                        e.rx_marked += payload_len;
-                        e.rx_marked_lifetime += payload_len;
-                    }
-                    crate::strict_invariant!(
-                        e.rx_marked <= e.rx_total && e.rx_marked_lifetime <= e.rx_total_lifetime,
-                        "PACK receive counters inconsistent: marked {}/{} lifetime {}/{}",
-                        e.rx_marked,
-                        e.rx_total,
-                        e.rx_marked_lifetime,
-                        e.rx_total_lifetime
-                    );
-                    if flags.contains(TcpFlags::FIN) {
-                        e.closing = true;
-                    }
-                },
+                |e| e.on_data_received(now, payload_len, ce, flags.contains(TcpFlags::FIN)),
             );
             if tracked.is_some() {
                 self.note_admission(obs, now, &key, admission);
@@ -1046,16 +978,8 @@ impl AcdcDatapath {
     /// Fold a PACK's counters into the sender-role feedback accumulators
     /// of the acked flow.
     fn absorb_feedback(&self, ack_key: &acdc_packet::FlowKey, pack: PackOption) {
-        self.table.with_entry(&ack_key.reverse(), |e| {
-            e.fb_total += u64::from(pack.total_bytes);
-            e.fb_marked += u64::from(pack.marked_bytes);
-            crate::strict_invariant!(
-                e.fb_marked <= e.fb_total,
-                "PACK feedback counters inconsistent: marked {} > total {}",
-                e.fb_marked,
-                e.fb_total
-            );
-        });
+        self.table
+            .with_entry(&ack_key.reverse(), |e| e.absorb_pack(pack));
     }
 
     /// Connection-tracking + congestion control + RWND enforcement for an
@@ -1075,87 +999,16 @@ impl AcdcDatapath {
         // CC events are stamped with the *data* direction's key (the flow
         // whose window is being enforced), not the arriving ACK's key.
         let data_key = meta.flow.reverse();
-        // CC events observed under the shard lock, published only after
-        // the closure returns (W002: the event bus must not be entered
-        // while a table lock is held). Fixed-size, in firing order.
+        // CC events happen under the shard lock and are counted and
+        // published only after the closure returns (W002: the event bus
+        // must not be entered while a table lock is held).
         let enforced = self.table.with_entry(&data_key, |e| {
-            e.last_activity = now;
-            let mut newly_acked = 0u64;
-            let mut rtt_sample = None;
-            let mut cut_event = None;
-            let mut rto_event = None;
-            let mut alpha_event = None;
-
-            if e.seq_valid {
-                if ack > e.snd_una && ack <= e.snd_nxt {
-                    newly_acked = (ack - e.snd_una) as u64;
-                    e.snd_una = ack;
-                    e.dupacks = 0;
-                    e.last_ack_activity = now;
-                    if let Some((probe_seq, sent_at)) = e.rtt_probe {
-                        if ack >= probe_seq {
-                            let s = now - sent_at;
-                            e.record_rtt(s);
-                            rtt_sample = Some(s);
-                            e.rtt_probe = None;
-                        }
-                    }
-                } else if ack == e.snd_una && pure_ack && e.snd_nxt > e.snd_una {
-                    e.dupacks += 1;
-                    if e.dupacks == 3 {
-                        e.cc.on_fast_retransmit(now);
-                        AcdcCounters::bump(&obs.counters.inferred_fast_rtx);
-                        cut_event = Some(EventKind::CwndCut {
-                            cause: "fast-retransmit",
-                            cwnd: e.cc.cwnd(),
-                        });
-                    }
-                }
-
-                // Inactivity-inferred timeout (§3.1).
-                if e.snd_una < e.snd_nxt {
-                    let thresh = e.inactivity_threshold(self.cfg.inactivity_floor);
-                    if now.saturating_sub(e.last_ack_activity) > thresh {
-                        e.cc.on_retransmit_timeout(now);
-                        e.last_ack_activity = now;
-                        AcdcCounters::bump(&obs.counters.inferred_timeouts);
-                        rto_event = Some(EventKind::RtoFired { cwnd: e.cc.cwnd() });
-                    }
-                }
-            }
-
-            // Consume accumulated feedback and run the algorithm (Figure 5)
-            // through the VirtualCc seam — the datapath never sees how the
-            // algorithm turns the signal bundle into a window.
-            let marked = e.fb_marked;
-            let total = e.fb_total;
-            e.fb_total = 0;
-            e.fb_marked = 0;
-            let in_flight = e.in_flight();
-            let rtt = rtt_sample.or(e.srtt);
-            if newly_acked > 0 || marked > 0 {
-                e.cc.on_ack_signals(&AckSignals {
-                    now,
-                    newly_acked,
-                    marked_bytes: marked,
-                    total_bytes: total,
-                    rtt,
-                    in_flight,
-                });
-                // Publish alpha movements (quantized; DCTCP-family only).
-                if let Some(am) = e.cc.alpha_micros() {
-                    if e.last_alpha_micros != Some(am) {
-                        e.last_alpha_micros = Some(am);
-                        alpha_event = Some(EventKind::AlphaUpdate { alpha_micros: am });
-                    }
-                }
-            }
-
+            let outcome = e.on_ack(now, ack, pure_ack, self.cfg.inactivity_floor);
             // Enforcement target: the computed window, bounded by the
             // administrative cap (§3.4).
             let cwnd = e.cc.cwnd().min(self.cfg.max_rwnd_bytes.unwrap_or(u64::MAX));
             e.rwnd.set_target(now, cwnd, self.cfg.trace_windows);
-            (e.rwnd.action(window), [cut_event, rto_event, alpha_event])
+            (e.rwnd.action(window), outcome)
         });
 
         // Enforcement: overwrite RWND with the computed window, only when
@@ -1165,7 +1018,23 @@ impl AcdcDatapath {
         // a raw write interpreted through the guest's real scale could be
         // off by 2^14 in either direction. The decision comes from the
         // RWND-rewrite component (`entry.rwnd`, see crate::rwnd).
-        if let Some((action, events)) = enforced {
+        if let Some((action, outcome)) = enforced {
+            if outcome.fast_retransmit.is_some() {
+                AcdcCounters::bump(&obs.counters.inferred_fast_rtx);
+            }
+            if outcome.timeout.is_some() {
+                AcdcCounters::bump(&obs.counters.inferred_timeouts);
+            }
+            let events = [
+                outcome.fast_retransmit.map(|cwnd| EventKind::CwndCut {
+                    cause: "fast-retransmit",
+                    cwnd,
+                }),
+                outcome.timeout.map(|cwnd| EventKind::RtoFired { cwnd }),
+                outcome
+                    .alpha_micros
+                    .map(|alpha_micros| EventKind::AlphaUpdate { alpha_micros }),
+            ];
             for ev in events.into_iter().flatten() {
                 obs.telemetry.record(now, data_key, ev);
             }
@@ -1197,7 +1066,7 @@ impl AcdcDatapath {
             rev,
             || FlowEntry::new(self.cfg.policy.assign(&rev), self.cc_config(), now),
             |re| {
-                re.last_activity = now;
+                re.touch(now);
                 re.rwnd.learn(wscale.unwrap_or(0));
             },
         );
@@ -1219,14 +1088,7 @@ impl AcdcDatapath {
             let (tracked, adm) = self.table.with_entry_or_create(
                 key,
                 || FlowEntry::new(self.cfg.policy.assign(&key), self.cc_config(), now),
-                |e| {
-                    e.last_activity = now;
-                    e.vm_ecn = vm_ecn;
-                    // Initialize sequence tracking from the SYN.
-                    e.snd_una = meta.seq + 1u32;
-                    e.snd_nxt = meta.seq + 1u32;
-                    e.seq_valid = true;
-                },
+                |e| e.on_syn(now, meta.seq, vm_ecn),
             );
             if tracked.is_none() {
                 self.on_admission_reject(obs, now, &key);
@@ -1238,7 +1100,7 @@ impl AcdcDatapath {
 
     fn mark_closing(&self, key: &acdc_packet::FlowKey) {
         for k in [*key, key.reverse()] {
-            self.table.with_entry(&k, |e| e.closing = true);
+            self.table.with_entry(&k, |e| e.mark_closing());
         }
     }
 
@@ -1255,13 +1117,8 @@ impl AcdcDatapath {
         // (W002). Same per-flow order as before.
         let mut fired: Vec<(acdc_packet::FlowKey, u64)> = Vec::new();
         self.table.for_each(|key, e| {
-            if e.seq_valid && e.snd_una < e.snd_nxt {
-                let thresh = e.inactivity_threshold(floor);
-                if now.saturating_sub(e.last_ack_activity) > thresh {
-                    e.cc.on_retransmit_timeout(now);
-                    e.last_ack_activity = now;
-                    fired.push((*key, e.cc.cwnd()));
-                }
+            if let Some(cwnd) = e.infer_timeout(now, floor) {
+                fired.push((*key, cwnd));
             }
         });
         for (key, cwnd) in &fired {
@@ -1303,11 +1160,11 @@ impl AcdcDatapath {
                 cc_name: e.cc.name(),
                 cwnd: e.cc.cwnd(),
                 in_flight: e.in_flight(),
-                srtt: e.srtt,
-                rx_total: e.rx_total_lifetime,
-                rx_marked: e.rx_marked_lifetime,
-                policed: e.policed,
-                closing: e.closing,
+                srtt: e.srtt(),
+                rx_total: e.rx_total_lifetime(),
+                rx_marked: e.rx_marked_lifetime(),
+                policed: e.policed(),
+                closing: e.closing(),
             });
         });
         out.sort_by_key(|s| s.key);
@@ -1331,14 +1188,7 @@ impl AcdcDatapath {
     /// `Endpoint::seq_view` exposes for its ground truth, so the two
     /// sides compare without tuple plumbing.
     pub fn seq_view(&self, key: &acdc_packet::FlowKey) -> Option<acdc_packet::SeqView> {
-        self.table
-            .with_entry(key, |e| {
-                e.seq_valid.then_some(acdc_packet::SeqView {
-                    snd_una: e.snd_una,
-                    snd_nxt: e.snd_nxt,
-                })
-            })
-            .flatten()
+        self.table.with_entry(key, |e| e.seq_view()).flatten()
     }
 
     /// Generate a TCP Window Update for the data sender of `key` without
@@ -1351,8 +1201,8 @@ impl AcdcDatapath {
         let (ack, window) = self
             .table
             .with_entry(key, |e| {
-                e.seq_valid
-                    .then(|| (e.snd_una, e.rwnd.raw_window(e.cc.cwnd().max(1))))
+                let v = e.seq_view()?;
+                Some((v.snd_una, e.rwnd.raw_window(e.cc.cwnd().max(1))))
             })
             .flatten()?;
         Some(guest_ack(key, ack, window))
@@ -1365,8 +1215,8 @@ impl AcdcDatapath {
         let Some((ack, window)) = self
             .table
             .with_entry(key, |e| {
-                e.seq_valid
-                    .then(|| (e.snd_una, e.rwnd.raw_window(e.cc.cwnd())))
+                let v = e.seq_view()?;
+                Some((v.snd_una, e.rwnd.raw_window(e.cc.cwnd())))
             })
             .flatten()
         else {

@@ -38,6 +38,20 @@ macro_rules! strict_invariant {
 }
 pub(crate) use strict_invariant;
 
+const fn assert_send_sync<T: Send + Sync>() {}
+const fn assert_send<T: Send>() {}
+
+// The worker engine shares the datapath, its table and health ladder
+// across threads and moves sinks and entries between them: the build
+// fails if any of these loses `Send` (or `Sync`).
+const _: () = {
+    assert_send_sync::<AcdcDatapath>();
+    assert_send_sync::<FlowTable>();
+    assert_send_sync::<WorkerSink>();
+    assert_send_sync::<health::HealthCell>();
+    assert_send::<FlowEntry>();
+};
+
 pub mod checkpoint;
 pub mod datapath;
 pub mod entry;

@@ -224,7 +224,7 @@ impl FlowTable {
                 if k == avoid {
                     continue;
                 }
-                let cand = (e.last_activity, *k);
+                let cand = (e.last_activity(), *k);
                 if victim.is_none_or(|v| cand < v) {
                     victim = Some(cand);
                 }
@@ -346,7 +346,7 @@ impl FlowTable {
         for shard in &self.shards {
             shard.lock().retain(|key, e| {
                 let dead =
-                    e.closing || now.saturating_sub(e.last_activity.max(epoch)) > idle_timeout;
+                    e.closing() || now.saturating_sub(e.last_activity().max(epoch)) > idle_timeout;
                 if dead {
                     evicted.push(*key);
                 }
@@ -410,7 +410,7 @@ mod tests {
     }
 
     fn set_activity(t: &FlowTable, p: u16, at: Nanos) {
-        t.with_entry(&key(p), |e| e.last_activity = at).unwrap();
+        t.with_entry(&key(p), |e| e.touch(at)).unwrap();
     }
 
     #[test]
@@ -419,7 +419,7 @@ mod tests {
         assert!(!tracked(&t, 1));
         assert_eq!(create(&t, 1, 0), Admission::Created);
         set_activity(&t, 1, 42);
-        assert_eq!(t.with_entry(&key(1), |e| e.last_activity), Some(42));
+        assert_eq!(t.with_entry(&key(1), |e| e.last_activity()), Some(42));
         assert_eq!(t.len(), 1);
         assert!(t.remove(&key(1)));
         assert!(t.is_empty());
@@ -430,7 +430,7 @@ mod tests {
     fn with_entry_or_create_is_idempotent() {
         let t = FlowTable::new();
         create(&t, 7, 0);
-        let (seen, adm) = t.with_entry_or_create(key(7), || entry(99), |e| e.last_activity);
+        let (seen, adm) = t.with_entry_or_create(key(7), || entry(99), |e| e.last_activity());
         assert_eq!(seen, Some(0), "the existing entry, not a fresh one");
         assert_eq!(adm, Admission::Existing);
         assert_eq!(t.len(), 1);
@@ -455,8 +455,8 @@ mod tests {
         set_activity(&t, 2, 1_000_000_000);
         create(&t, 3, 0);
         t.with_entry(&key(3), |e| {
-            e.last_activity = 1_000_000_000;
-            e.closing = true;
+            e.touch(1_000_000_000);
+            e.mark_closing();
         });
         let n = t.gc(1_000_000_001, 500_000_000);
         assert_eq!(n, 2);
@@ -553,7 +553,7 @@ mod tests {
         }
         let mut seen = Vec::new();
         t.for_each(|k, e| {
-            e.last_activity = 7;
+            e.touch(7);
             seen.push((FlowTable::shard_of(k), *k));
         });
         assert_eq!(seen.len(), 200);
@@ -561,7 +561,7 @@ mod tests {
             seen.windows(2).all(|w| w[0] < w[1]),
             "shard, then key order"
         );
-        assert!((0..200).all(|p| t.with_entry(&key(p), |e| e.last_activity) == Some(7)));
+        assert!((0..200).all(|p| t.with_entry(&key(p), |e| e.last_activity()) == Some(7)));
     }
 
     #[test]
@@ -587,8 +587,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..250u16 {
                     let k = key(tid * 250 + i);
-                    let (r, _) =
-                        t.with_entry_or_create(k, || entry(0), |e| e.last_activity = u64::from(i));
+                    let (r, _) = t.with_entry_or_create(k, || entry(0), |e| e.touch(u64::from(i)));
                     assert!(r.is_some());
                     assert!(t.with_entry(&k, |_| ()).is_some());
                 }

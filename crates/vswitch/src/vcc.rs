@@ -1,7 +1,5 @@
 //! The pluggable vSwitch congestion-control seam (`VirtualCc`).
 //!
-//! acdc-scope: vswitch.virtual-cc
-//!
 //! AC/DC's core claim (§3.3) is that the vSwitch can enforce *any*
 //! congestion control it computes — the enforcement plumbing (RWND
 //! rewrite, policing, health ladder, PACK feedback) does not care how

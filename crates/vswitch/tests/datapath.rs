@@ -118,8 +118,8 @@ fn handshake_creates_entries_and_records_wscale() {
         .with_entry(&key_ab(), |e| {
             // ACKs for A→B data come from B, which advertised wscale 9.
             assert_eq!(e.rwnd.wscale(), 9);
-            assert!(e.seq_valid);
-            assert_eq!(e.snd_una, SeqNumber(ISS_A + 1));
+            assert!(e.seq_valid());
+            assert_eq!(e.snd_una(), SeqNumber(ISS_A + 1));
         })
         .unwrap();
 }
@@ -163,8 +163,8 @@ fn receiver_module_strips_ce_and_counts() {
     assert!(delivered.verify_checksums());
     dpb.table()
         .with_entry(&key_ab(), |e| {
-            assert_eq!(e.rx_total, MSS as u64);
-            assert_eq!(e.rx_marked, MSS as u64);
+            assert_eq!(e.rx_total(), MSS as u64);
+            assert_eq!(e.rx_marked(), MSS as u64);
         })
         .unwrap();
 }
@@ -216,7 +216,7 @@ fn ack_carries_pack_and_sender_consumes_it() {
     );
     // Connection tracking advanced.
     assert_eq!(
-        dpa.table().with_entry(&key_ab(), |e| e.snd_una).unwrap(),
+        dpa.table().with_entry(&key_ab(), |e| e.snd_una()).unwrap(),
         SeqNumber(ISS_A + 1 + MSS as u32)
     );
 }
@@ -347,7 +347,10 @@ fn policing_drops_nonconforming_flow() {
         }
     }
     assert_eq!(dropped, 7, "20 sent, 13 allowed");
-    assert_eq!(dpa.table().with_entry(&key_ab(), |e| e.policed).unwrap(), 7);
+    assert_eq!(
+        dpa.table().with_entry(&key_ab(), |e| e.policed()).unwrap(),
+        7
+    );
 }
 
 #[test]
@@ -721,7 +724,7 @@ fn adopted_flow_stays_log_only_until_handshake() {
         .unwrap();
     dpa.table()
         .with_entry(&key_ab(), |e| {
-            assert!(e.seq_valid);
+            assert!(e.seq_valid());
             assert!(!e.rwnd.learned(), "no handshake → scale unlearned");
         })
         .unwrap();
@@ -838,7 +841,7 @@ fn ladder_recovers_with_hysteresis_after_gc() {
     }
     assert_eq!(dpa.health(), HealthState::PassThrough);
     // All guests close; the entries become collectable.
-    dpa.table().for_each(|_, e| e.closing = true);
+    dpa.table().for_each(|_, e| e.mark_closing());
     // First gc: occupancy drops to zero, but the reject is still
     // "recent" — the overload flag covers the interval up to this check.
     dpa.gc(10_000, 1);
@@ -899,8 +902,11 @@ fn checkpoint_restore_continues_byte_identically() {
     assert_eq!(a1.header_bytes(), a2.header_bytes());
     assert_eq!(dpa.counters().snapshot(), fresh.counters().snapshot());
     assert_eq!(
-        dpa.table().with_entry(&key_ab(), |e| e.snd_una).unwrap(),
-        fresh.table().with_entry(&key_ab(), |e| e.snd_una).unwrap()
+        dpa.table().with_entry(&key_ab(), |e| e.snd_una()).unwrap(),
+        fresh
+            .table()
+            .with_entry(&key_ab(), |e| e.snd_una())
+            .unwrap()
     );
 }
 
@@ -959,6 +965,39 @@ fn restore_rejects_rx_pending_that_disagrees_with_rx_total() {
     assert!(AcdcDatapath::new(AcdcConfig::dctcp(MTU))
         .restore(&bad)
         .is_err());
+}
+
+#[test]
+fn restore_rejects_marked_bytes_beyond_total() {
+    // The strict-invariants build asserts marked <= total on the next
+    // data packet or PACK; a checkpoint breaking that must be refused
+    // at restore, not panic later.
+    let (dpa, dpb) = rig(false);
+    let d = dpa
+        .egress(10_000, data(0, MSS, Ecn::NotEct))
+        .forwarded()
+        .unwrap();
+    dpb.ingress(11_000, d).forwarded().unwrap();
+    let ckpt = dpb.checkpoint(20_000, &[]);
+    let pending = ckpt
+        .flows
+        .iter()
+        .position(|f| f.state.rx_total > 0)
+        .expect("receiver has feedback pending");
+    for field in ["rx_marked", "rx_marked_lifetime", "fb_marked"] {
+        let mut bad = ckpt.clone();
+        let s = &mut bad.flows[pending].state;
+        match field {
+            "rx_marked" => s.rx_marked = s.rx_total + 1,
+            "rx_marked_lifetime" => s.rx_marked_lifetime = s.rx_total_lifetime + 1,
+            _ => s.fb_marked = s.fb_total + 1,
+        }
+        let bad = acdc_vswitch::DatapathCheckpoint::from_json(&bad.to_json()).unwrap();
+        let err = AcdcDatapath::new(AcdcConfig::dctcp(MTU))
+            .restore(&bad)
+            .unwrap_err();
+        assert!(err.contains(field), "names {field}: {err}");
+    }
 }
 
 #[test]

@@ -55,15 +55,14 @@ fn run_ops(policy: AdmissionPolicy, ops: &[Op]) -> (Vec<Admission>, Vec<u16>) {
         match *op {
             Op::Create(k, now) => {
                 let now = u64::from(now);
-                let (_, adm) =
-                    t.with_entry_or_create(key(k), || entry(now), |e| e.last_activity = now);
+                let (_, adm) = t.with_entry_or_create(key(k), || entry(now), |e| e.touch(now));
                 admissions.push(adm);
             }
             Op::Remove(k) => {
                 t.remove(&key(k));
             }
             Op::Touch(k, now) => {
-                t.with_entry(&key(k), |e| e.last_activity = u64::from(now));
+                t.with_entry(&key(k), |e| e.touch(u64::from(now)));
             }
             Op::Gc(now) => {
                 t.gc(u64::from(now), 250);

@@ -63,3 +63,7 @@ pub mod steer;
 
 pub use engine::{Direction, WorkerEngine};
 pub use steer::worker_of;
+
+const fn assert_send_sync<T: Send + Sync>() {}
+
+const _: () = assert_send_sync::<WorkerEngine>();

@@ -17,19 +17,14 @@
 
 pub mod bench;
 pub mod json;
-pub mod model;
 pub mod rules;
 pub mod scan;
-pub mod scopes;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use model::FileModel;
 use rules::Finding;
 use scan::SourceFile;
-use scopes::ScopeManifest;
 
 /// Result of a lint run.
 #[derive(Debug, Default)]
@@ -50,10 +45,6 @@ impl Report {
 pub enum LintError {
     Io(PathBuf, std::io::Error),
     NotAWorkspace(PathBuf),
-    /// `scopes.toml` failed to parse (semantic manifest problems are
-    /// findings, but a syntactically broken manifest must not silently
-    /// disable write-scope checking).
-    Manifest(String),
 }
 
 impl std::fmt::Display for LintError {
@@ -62,9 +53,6 @@ impl std::fmt::Display for LintError {
             LintError::Io(p, e) => write!(f, "io error at {}: {e}", p.display()),
             LintError::NotAWorkspace(p) => {
                 write!(f, "{} does not contain a workspace Cargo.toml", p.display())
-            }
-            LintError::Manifest(e) => {
-                write!(f, "{}: {e}", scopes::MANIFEST_PATH)
             }
         }
     }
@@ -206,73 +194,6 @@ pub fn run_lint(root: &Path) -> Result<Report, LintError> {
         .filter(|f| !allowlist.allows(f.rule.id, &f.path))
         .collect();
     // Deterministic output order: by path, then line, then rule id.
-    report.findings.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule.id).cmp(&(b.path.as_str(), b.line, b.rule.id))
-    });
-    Ok(report)
-}
-
-/// Run the analyze pass (W-series rules) over the workspace at `root`.
-///
-/// Mirrors [`run_lint`]: same walker, same inline/allowlist escape
-/// hatches, same deterministic ordering — but where lint is line-local,
-/// analyze builds a [`FileModel`] per file and checks the cross-file
-/// write-scope manifest (`crates/xtask/scopes.toml`) on top of the
-/// per-file lock-order and thread-readiness rules. A missing manifest is
-/// an empty manifest (W002/W003 still run); a syntactically broken one is
-/// a hard error.
-pub fn run_analyze(root: &Path) -> Result<Report, LintError> {
-    if !root.join("Cargo.toml").exists() {
-        return Err(LintError::NotAWorkspace(root.to_path_buf()));
-    }
-    let allowlist = Allowlist::load(root);
-    let manifest = match fs::read_to_string(root.join(scopes::MANIFEST_PATH)) {
-        Ok(text) => ScopeManifest::parse(&text).map_err(LintError::Manifest)?,
-        Err(_) => ScopeManifest::default(),
-    };
-
-    let mut report = Report::default();
-    let mut raw = Vec::new();
-    let mut files: BTreeMap<String, SourceFile> = BTreeMap::new();
-    let mut models: BTreeMap<String, FileModel> = BTreeMap::new();
-
-    for path in collect_rs_files(root)? {
-        let text = fs::read_to_string(&path).map_err(|e| LintError::Io(path.clone(), e))?;
-        let rel_path = rel(root, &path);
-        let file = SourceFile::scan(&text);
-        report.files_scanned += 1;
-        rules::analyze_lines(&rel_path, &file, &mut raw);
-        models.insert(rel_path.clone(), FileModel::build(&file));
-        files.insert(rel_path, file);
-    }
-
-    manifest.validate(&models, &mut raw);
-    for (rel_path, model) in &models {
-        // Write-scope is a src-only contract: tests and benches reach into
-        // state on purpose (and go through accessors where it matters).
-        if rel_path.contains("/src/") {
-            scopes::check_write_scopes(rel_path, model, &manifest, &mut raw);
-        }
-    }
-
-    report.findings = raw
-        .into_iter()
-        .filter(|f| {
-            if allowlist.allows(f.rule.id, &f.path) {
-                return false;
-            }
-            // Inline `// acdc-lint: allow(W00x)` directives, applied
-            // centrally since analyze findings come from several passes.
-            if f.line > 0 {
-                if let Some(file) = files.get(&f.path) {
-                    if file.allows_on(f.line - 1).iter().any(|a| a == f.rule.id) {
-                        return false;
-                    }
-                }
-            }
-            true
-        })
-        .collect();
     report.findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule.id).cmp(&(b.path.as_str(), b.line, b.rule.id))
     });

@@ -149,36 +149,19 @@ pub static S001: Rule = Rule {
               numbers, no float formatting (DESIGN.md §15)",
 };
 
-pub static W001: Rule = Rule {
-    id: "W001",
-    name: "write-scope",
-    summary: "writes to fields claimed by a scopes.toml component must come \
-              from the component's owning files (analyze; the contract the \
-              parallel-datapath decomposition is checked against)",
-};
-
 pub static W002: Rule = Rule {
     id: "W002",
     name: "lock-order",
     summary: "no table re-entry and no event-bus publish inside a flow-table \
               closure (with_entry/with_entry_or_create/for_each hold a shard \
-              lock; analyze; crates/vswitch — the deadlock shapes the worker \
-              model must never ship)",
+              lock; crates/vswitch/src — the deadlock shapes the worker model \
+              must never ship)",
 };
 
-pub static W003: Rule = Rule {
-    id: "W003",
-    name: "thread-readiness",
-    summary: "no Rc/RefCell/Cell/thread_local in crates slated to go \
-              multicore (analyze; vswitch, packet hot path, netsim engine \
-              must hold only Send + Sync state)",
-};
-
-/// All rules, in diagnostic order. The W-series runs under `analyze`, the
-/// rest under `lint`.
-pub static CATALOG: [&Rule; 16] = [
+/// All rules, in diagnostic order.
+pub static CATALOG: [&Rule; 14] = [
     &D001, &D002, &D003, &D004, &P001, &P002, &P003, &P004, &P005, &O001, &S001, &H001, &H002,
-    &W001, &W002, &W003,
+    &W002,
 ];
 
 pub fn catalog() -> &'static [&'static Rule] {
@@ -575,6 +558,21 @@ pub fn lint_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
             });
         }
     }
+
+    if path.starts_with("crates/vswitch/src/") {
+        for (line, message) in lock_order(file) {
+            if file.allows_on(line - 1).iter().any(|a| a == W002.id) {
+                continue;
+            }
+            findings.push(Finding {
+                path: path.to_string(),
+                line,
+                rule: &W002,
+                message,
+                severity: Severity::Error,
+            });
+        }
+    }
 }
 
 /// H001: a crate-root file must carry `#![forbid(unsafe_code)]`.
@@ -635,60 +633,102 @@ pub fn lint_clippy_sync(clippy_toml: Option<&str>, findings: &mut Vec<Finding>) 
 }
 
 // ----------------------------------------------------------------------
-// analyze-pass rules (W-series)
+// Lock order (W002)
 // ----------------------------------------------------------------------
 
-/// Crates slated for the multicore datapath: state they hold must be
-/// `Send + Sync`, so single-thread-only cells are banned now rather than
-/// discovered during the parallelism PR.
-const W003_SCOPE: &[&str] = &[
-    "crates/vswitch/src/",
-    "crates/packet/src/",
-    "crates/netsim/src/",
-];
+/// The flow table's closure accessors: each runs its closure argument
+/// under a shard lock.
+const TABLE_TOKENS: &[&str] = &["with_entry_or_create", "with_entry", "for_each"];
 
-const W003_TOKENS: &[&str] = &["Rc", "RefCell", "Cell", "thread_local"];
+/// Lexical pass over one file for the flow table's one lock: the shard
+/// lock held across a `with_entry` / `with_entry_or_create` / `for_each`
+/// closure, modelled as held until the call's parentheses close. Inside
+/// such a call it reports:
+///
+/// * a table re-entry (another closure accessor, `.gc(`, `.clear(`):
+///   shard locks are not re-entrant, so this self-deadlocks whenever the
+///   two keys share a shard;
+/// * an event-bus publish (`.record(`, `.publish(`): publishing takes
+///   the telemetry lock, extending the shard's critical section and
+///   ordering it against an unrelated subsystem.
+fn lock_order(file: &SourceFile) -> Vec<(usize, String)> {
+    let mut findings = Vec::new();
+    let mut depth: i32 = 0;
+    // One entry per open table call: the depth inside its parentheses.
+    let mut held: Vec<i32> = Vec::new();
 
-/// Per-file analyze rules: W002 (lock order, vswitch only) and W003
-/// (thread readiness). W001 needs the cross-file manifest and runs from
-/// `scopes::check_write_scopes`.
-pub fn analyze_lines(path: &str, file: &SourceFile, findings: &mut Vec<Finding>) {
-    if W003_SCOPE.iter().any(|p| path.starts_with(p)) {
-        for (idx, line) in file.lines.iter().enumerate() {
-            let code = line.code.as_str();
-            if code.trim().is_empty() {
+    for (idx, line) in file.lines.iter().enumerate() {
+        let lineno = idx + 1;
+        let code = line.code.as_str();
+        let bytes = code.as_bytes();
+        let mut i = 0usize;
+        while i < bytes.len() {
+            match bytes[i] {
+                b'{' | b'(' | b'[' => depth += 1,
+                b'}' | b')' | b']' => {
+                    depth -= 1;
+                    held.retain(|&d| depth >= d);
+                }
+                _ => {}
+            }
+            let locked = !held.is_empty();
+
+            if let Some(tok) = TABLE_TOKENS.iter().find(|t| token_at(code, i, t)) {
+                if locked {
+                    findings.push((
+                        lineno,
+                        format!(
+                            "`{tok}` re-enters the flow table inside a table closure; \
+                             the shard lock is held and not re-entrant — return what \
+                             you need from the first closure and call again after it"
+                        ),
+                    ));
+                }
+                i += tok.len();
+                if let Some(rel) = code[i..].find('(') {
+                    if code[i..i + rel].trim().is_empty() {
+                        i += rel + 1;
+                        depth += 1;
+                        held.push(depth);
+                    }
+                }
                 continue;
             }
-            for tok in W003_TOKENS {
-                if contains_token(code, tok) {
-                    findings.push(Finding {
-                        path: path.to_string(),
-                        line: idx + 1,
-                        rule: &W003,
-                        message: format!(
-                            "`{tok}` is single-thread-only state in a crate slated \
-                             to go multicore; use Send + Sync primitives \
-                             (Atomic*, Mutex, or move the state to the owner)"
-                        ),
-                        severity: Severity::Error,
-                    });
-                    break;
-                }
+            if locked && (code[i..].starts_with(".gc(") || code[i..].starts_with(".clear(")) {
+                findings.push((
+                    lineno,
+                    "table maintenance call inside a table closure; gc/clear \
+                     take every shard lock in turn, including the one held"
+                        .to_string(),
+                ));
             }
-        }
-    }
+            if locked && (code[i..].starts_with(".record(") || code[i..].starts_with(".publish(")) {
+                findings.push((
+                    lineno,
+                    "event-bus publish inside a table closure; publishing takes \
+                     the telemetry lock, extending the shard's critical section \
+                     and ordering it against an unrelated subsystem — buffer the \
+                     event and publish after the closure returns"
+                        .to_string(),
+                ));
+            }
 
-    if path.starts_with("crates/vswitch/src/") {
-        for (line, message) in crate::model::lock_order(file) {
-            findings.push(Finding {
-                path: path.to_string(),
-                line,
-                rule: &W002,
-                message,
-                severity: Severity::Error,
-            });
+            i += 1;
         }
     }
+    findings
+}
+
+/// Is `tok` present at byte offset `at` with identifier boundaries?
+fn token_at(code: &str, at: usize, tok: &str) -> bool {
+    if !code[at..].starts_with(tok) {
+        return false;
+    }
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let before_ok = at == 0 || !is_ident(code[..at].chars().next_back().unwrap());
+    let after = at + tok.len();
+    let after_ok = after >= code.len() || !is_ident(code[after..].chars().next().unwrap());
+    before_ok && after_ok
 }
 
 #[cfg(test)]
@@ -703,13 +743,6 @@ mod tests {
         out.iter().map(|f| f.rule.id.to_string()).collect()
     }
 
-    fn analyze(path: &str, src: &str) -> Vec<String> {
-        let f = SourceFile::scan(src);
-        let mut out = Vec::new();
-        analyze_lines(path, &f, &mut out);
-        out.iter().map(|f| f.rule.id.to_string()).collect()
-    }
-
     #[test]
     fn d004_heap_banned_outside_overflow_module() {
         let src = "use std::collections::BinaryHeap;\n";
@@ -721,39 +754,98 @@ mod tests {
     }
 
     #[test]
-    fn w003_scoped_to_multicore_crates() {
-        let src = "use std::cell::RefCell;\n";
-        assert_eq!(analyze("crates/vswitch/src/x.rs", src), vec!["W003"]);
-        assert_eq!(analyze("crates/packet/src/x.rs", src), vec!["W003"]);
-        assert_eq!(analyze("crates/netsim/src/x.rs", src), vec!["W003"]);
-        assert!(analyze("crates/tcp/src/x.rs", src).is_empty());
-        assert!(analyze("crates/vswitch/tests/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn w003_token_boundaries_spare_health_cell() {
-        assert!(analyze("crates/vswitch/src/x.rs", "let h = HealthCell::new();\n").is_empty());
-        assert_eq!(
-            analyze(
-                "crates/vswitch/src/x.rs",
-                "let c: Cell<u8> = Cell::new(0);\n"
-            ),
-            vec!["W003"]
-        );
-        assert_eq!(
-            analyze(
-                "crates/netsim/src/x.rs",
-                "thread_local! { static X: u8 = 0; }\n"
-            ),
-            vec!["W003"]
-        );
-    }
-
-    #[test]
     fn w002_scoped_to_vswitch_src() {
-        let src = "fn f(&self) {\n    self.table.with_entry(&a, |e| self.table.with_entry(&b, |r| r.closing = true));\n}\n";
-        assert_eq!(analyze("crates/vswitch/src/x.rs", src), vec!["W002"]);
-        assert!(analyze("crates/core/src/x.rs", src).is_empty());
+        let src = "fn f(&self) {\n    self.table.with_entry(&a, |e| self.table.with_entry(&b, |r| r.mark_closing()));\n}\n";
+        assert_eq!(run("crates/vswitch/src/x.rs", src), vec!["W002"]);
+        assert!(run("crates/core/src/x.rs", src).is_empty());
+        assert!(run("crates/vswitch/tests/x.rs", src).is_empty());
+    }
+
+    fn locks(src: &str) -> Vec<(usize, String)> {
+        lock_order(&SourceFile::scan(src))
+    }
+
+    #[test]
+    fn table_reentry_inside_closure_fires() {
+        let f = locks(
+            "fn f(&self) {\n\
+             \x20   self.table.with_entry(&a, |e| {\n\
+             \x20       self.table.with_entry(&b, |r| r.closing = true);\n\
+             \x20   });\n\
+             }\n",
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].0, 3);
+        assert!(f[0].1.contains("with_entry"));
+    }
+
+    #[test]
+    fn sequential_closures_do_not_fire() {
+        let f = locks(
+            "fn f(&self) {\n\
+             \x20   let fb = self.table.with_entry(&a, |e| e.take_feedback());\n\
+             \x20   self.table.with_entry_or_create(b, mk, |e| {\n\
+             \x20       e.rx_total += 1;\n\
+             \x20   });\n\
+             \x20   self.table.gc(now, idle);\n\
+             }\n",
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn publish_inside_with_entry_closure_fires() {
+        let f = locks(
+            "fn f(&self) {\n\
+             \x20   self.table.with_entry(&key, |e| {\n\
+             \x20       e.closing = true;\n\
+             \x20       self.telemetry.record(now, key, EventKind::FlowCreated);\n\
+             \x20   });\n\
+             }\n",
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].1.contains("publish"));
+    }
+
+    #[test]
+    fn publish_after_closure_is_clean() {
+        let f = locks(
+            "fn f(&self) {\n\
+             \x20   self.table.with_entry(&key, |e| {\n\
+             \x20       e.rx_total += 1;\n\
+             \x20   });\n\
+             \x20   self.telemetry.record(now, key, EventKind::FlowCreated);\n\
+             }\n",
+        );
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn for_each_closure_holds_the_lock() {
+        let f = locks(
+            "fn f(&self) {\n\
+             \x20   self.table.for_each(|key, e| {\n\
+             \x20       self.telemetry.record(now, *key, EventKind::FlowCreated);\n\
+             \x20       self.table.clear();\n\
+             \x20   });\n\
+             }\n",
+        );
+        assert_eq!(f.len(), 2, "{f:?}");
+    }
+
+    #[test]
+    fn explicit_shard_locks_are_not_closures() {
+        // The table's own shard walk locks directly and clears the map
+        // it holds: that is not a re-entry.
+        let f = locks(
+            "fn clear(&self) {\n\
+             \x20   for shard in &self.shards {\n\
+             \x20       let mut shard = shard.lock();\n\
+             \x20       shard.clear();\n\
+             \x20   }\n\
+             }\n",
+        );
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -7,6 +7,8 @@ use crate::table::FlowTable;
 
 pub fn mirror_closing(table: &FlowTable, key: &FlowKey) {
     table.with_entry(key, |e| {
-        table.with_entry(&key.reverse(), |r| r.closing = e.closing);
+        if e.closing() {
+            table.with_entry(&key.reverse(), |r| r.mark_closing());
+        }
     });
 }

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # The full pre-push gate: formatting, clippy, the workspace lint pass,
 # benchmark smoke + regression diff, and the test suite (once plain,
-# once with the strict-invariants runtime hooks).
+# once with the strict-invariants runtime hooks). Write scopes and
+# Send/Sync are checked by the compiler (private fields, `const`
+# assertions), so every build is part of the gate.
 #
 # Each stage is a function so CI can run them as separate jobs with the
 # exact same commands developers run locally:
 #
 #   scripts/check.sh            # run every stage, in order
 #   scripts/check.sh lint       # formatting + clippy + acdc-xtask lint
-#   scripts/check.sh analyze    # write-scope / lock-order / thread-readiness
 #   scripts/check.sh test       # workspace tests + packet proptests
-#   scripts/check.sh strict     # tests under --features strict-invariants
+#   scripts/check.sh strict     # workspace tests under strict-invariants
 #   scripts/check.sh chaos      # fault-injection suite (plain features)
 #   scripts/check.sh workers    # parallel-datapath suite (plain + strict)
 #   scripts/check.sh soak       # bounded soak smoke (plain + strict)
@@ -35,19 +36,6 @@ stage_lint() {
     if grep -rnE '(try_meta|::parse)\([^)]*\)[[:space:]]*\.[[:space:]]*(unwrap|expect)\(' \
         crates/vswitch/src crates/core/src crates/tcp/src; then
         echo "error: wire-input parses must be fallible (drop + count), not unwrap/expect" >&2
-        return 1
-    fi
-}
-
-stage_analyze() {
-    echo "==> acdc-xtask analyze (W-series: write-scope, lock-order, thread-readiness)"
-    if ! cargo run -q -p acdc-xtask -- analyze; then
-        # Re-run in JSON mode so the findings survive as a machine-readable
-        # artifact (CI uploads target/acdc-analyze/ on failure).
-        mkdir -p target/acdc-analyze
-        cargo run -q -p acdc-xtask -- analyze --json \
-            >target/acdc-analyze/findings.json || true
-        echo "==> findings written to target/acdc-analyze/findings.json" >&2
         return 1
     fi
 }
@@ -109,8 +97,8 @@ stage_chaos() {
 }
 
 stage_strict() {
-    echo "==> cargo test --features strict-invariants"
-    cargo test -q --features strict-invariants
+    echo "==> cargo test --workspace --features strict-invariants"
+    cargo test --workspace -q --features strict-invariants
 
     echo "==> chaos suite under strict-invariants"
     cargo test -q --features strict-invariants --test chaos --test rto_backoff --test overload
@@ -141,11 +129,11 @@ stage_soak() {
     cargo test -q -p acdc-soak --features strict-invariants
 }
 
-ALL_STAGES=(lint analyze test bench throughput chaos workers soak strict)
+ALL_STAGES=(lint test bench throughput chaos workers soak strict)
 
 run_stage() {
     case "$1" in
-        lint | analyze | test | bench | throughput | chaos | workers | soak | strict) "stage_$1" ;;
+        lint | test | bench | throughput | chaos | workers | soak | strict) "stage_$1" ;;
         *)
             echo "error: unknown stage '$1' (expected: ${ALL_STAGES[*]})" >&2
             exit 2

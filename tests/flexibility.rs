@@ -164,7 +164,7 @@ fn datapath_dup_acks_match_tracked_state() {
         .host_mut(0)
         .datapath()
         .table()
-        .with_entry(&key, |e| e.snd_una)
+        .with_entry(&key, |e| e.snd_una())
         .unwrap();
     for d in &dups {
         assert_eq!(d.tcp().ack_number(), snd_una);

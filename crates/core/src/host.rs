@@ -8,8 +8,8 @@
 //! ```
 
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use acdc_netsim::{Ctx, Node, PortId, TokenBucket};
@@ -72,9 +72,28 @@ struct Conn {
     rwnd_trace: Option<TimeSeries>,
     tput: Option<acdc_stats::ThroughputMeter>,
     last_acked: u64,
+    /// The deadline this connection is filed at in [`HostNode::due`].
+    filed: Option<Nanos>,
+    /// Counted in [`HostNode::in_flight`]: has bytes in flight.
+    busy: bool,
 }
 
 impl Conn {
+    /// Earliest time this connection needs serving on its own account:
+    /// its endpoint timer, its app's wake-up, or a start or stop not yet
+    /// applied.
+    fn deadline(&self) -> Option<Nanos> {
+        [
+            self.ep.next_timer(),
+            self.app_wake,
+            self.start_at.filter(|_| !self.started),
+            self.stop_at.filter(|_| !self.stopped),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
     fn sample_taps(&mut self, now: Nanos) {
         if let Some(ts) = &mut self.cwnd_trace {
             let v = self.ep.cwnd() as f64;
@@ -132,7 +151,7 @@ pub trait MultiApp: Send {
 struct ConnsAccess<'a> {
     conns: &'a mut [Conn],
     /// Connections written to during this poll (only these need pumping).
-    touched: Vec<usize>,
+    touched: &'a mut Vec<usize>,
 }
 
 impl MultiConnAccess for ConnsAccess<'_> {
@@ -170,6 +189,17 @@ pub struct HostNode {
     datapath: Arc<AcdcDatapath>,
     conns: Vec<Conn>,
     by_key: BTreeMap<FlowKey, usize>,
+    /// Deadline index: `(deadline, conn)` for every connection that has
+    /// one, kept current by [`HostNode::refile`].
+    due: BTreeSet<(Nanos, usize)>,
+    /// Connections with bytes in flight.
+    in_flight: usize,
+    /// Connections `unfiled..` were added since the last callback and
+    /// are not in the index yet (see [`HostNode::file_new`]).
+    unfiled: usize,
+    /// Reused buffer of connection indices (the due list of a timer, the
+    /// connections the host-level apps wrote to).
+    scratch: Vec<usize>,
     multi_apps: Vec<(Box<dyn MultiApp>, Option<Nanos>)>,
     rl: Option<RateLimiter>,
     /// Earliest wake-up currently scheduled with the engine.
@@ -202,6 +232,10 @@ impl HostNode {
             datapath,
             conns: Vec::new(),
             by_key: BTreeMap::new(),
+            due: BTreeSet::new(),
+            in_flight: 0,
+            unfiled: 0,
+            scratch: Vec::new(),
             multi_apps: Vec::new(),
             rl: None,
             armed: None,
@@ -346,6 +380,8 @@ impl HostNode {
                 .tput_bin
                 .map(|bin| acdc_stats::ThroughputMeter::new(0).with_bins(bin)),
             last_acked: 0,
+            filed: None,
+            busy: false,
         });
         self.by_key.insert(key, idx);
         idx
@@ -354,6 +390,7 @@ impl HostNode {
     /// Schedule the end of a long-lived flow (Figure 14).
     pub fn set_stop_at(&mut self, conn: usize, at: Nanos) {
         self.conns[conn].stop_at = Some(at);
+        self.refile(conn);
     }
 
     /// Immutable access to a connection's endpoint.
@@ -468,6 +505,44 @@ impl HostNode {
             }
         }
         self.conns[idx].sample_taps(now);
+        self.refile(idx);
+    }
+
+    /// File the connections added since the last callback. Only
+    /// callbacks read the index, so filing can wait for the next one;
+    /// filing while a scenario is built would allocate index nodes
+    /// between the growing `conns` reallocations and slow set-up.
+    fn file_new(&mut self) {
+        while self.unfiled < self.conns.len() {
+            self.refile(self.unfiled);
+            self.unfiled += 1;
+        }
+    }
+
+    /// Bring connection `idx`'s entry in the deadline index and its
+    /// in-flight count up to date. Every change to a connection ends in
+    /// [`HostNode::pump`], which calls this, so the index never goes stale.
+    fn refile(&mut self, idx: usize) {
+        let c = &mut self.conns[idx];
+        let deadline = c.deadline();
+        if deadline != c.filed {
+            if let Some(t) = c.filed {
+                self.due.remove(&(t, idx));
+            }
+            if let Some(t) = deadline {
+                self.due.insert((t, idx));
+            }
+            c.filed = deadline;
+        }
+        let busy = c.ep.in_flight() > 0;
+        if busy != c.busy {
+            c.busy = busy;
+            if busy {
+                self.in_flight += 1;
+            } else {
+                self.in_flight -= 1;
+            }
+        }
     }
 
     fn poll_app(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
@@ -478,22 +553,28 @@ impl HostNode {
         }
     }
 
-    /// Poll the host-level apps; returns the connections they queued data
-    /// on (the only ones that need pumping afterwards).
-    fn poll_multi(&mut self, ctx: &mut Ctx<'_>) -> Vec<usize> {
+    /// Poll the host-level apps, then pump the connections they queued
+    /// data on (the only ones that need it), in index order.
+    fn poll_multi(&mut self, ctx: &mut Ctx<'_>) {
+        if self.multi_apps.is_empty() {
+            return;
+        }
         let now = ctx.now();
-        let mut touched = Vec::new();
+        let mut touched = std::mem::take(&mut self.scratch);
         for (app, wake) in &mut self.multi_apps {
             let mut access = ConnsAccess {
                 conns: &mut self.conns,
-                touched: Vec::new(),
+                touched: &mut touched,
             };
             *wake = app.poll(now, &mut access);
-            touched.extend(access.touched);
         }
         touched.sort_unstable();
         touched.dedup();
-        touched
+        for &idx in &touched {
+            self.pump(ctx, idx);
+        }
+        touched.clear();
+        self.scratch = touched;
     }
 
     fn service_conn(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
@@ -532,22 +613,13 @@ impl HostNode {
                 earliest = Some(earliest.map_or(t, |e: Nanos| e.min(t)));
             }
         };
-        for c in &self.conns {
-            fold(c.ep.next_timer());
-            fold(c.app_wake);
-            if !c.started {
-                fold(c.start_at);
-            }
-            if !c.stopped {
-                fold(c.stop_at);
-            }
-        }
+        fold(self.due.first().map(|&(t, _)| t));
         for (_, wake) in &self.multi_apps {
             fold(*wake);
         }
         // Keep the vSwitch maintenance tick alive only while some flow
         // actually has unacknowledged data to watch.
-        if self.conns.iter().any(|c| c.ep.in_flight() > 0) {
+        if self.in_flight > 0 {
             fold(Some(self.next_dp_tick.max(now)));
         }
         if let Some(rl) = &mut self.rl {
@@ -569,10 +641,57 @@ impl HostNode {
             }
         }
     }
+
+    /// Under `strict-invariants` (debug builds): the deadline index and
+    /// the in-flight count agree with a recomputation over every
+    /// connection. Runs at the end of every callback that can change a
+    /// connection.
+    fn check_index(&self) {
+        if !cfg!(all(feature = "strict-invariants", debug_assertions)) {
+            return;
+        }
+        let (mut earliest, mut filed, mut busy) = (None::<Nanos>, 0, 0);
+        for (idx, c) in self.conns.iter().enumerate() {
+            let deadline = c.deadline();
+            assert_eq!(c.filed, deadline, "connection {idx} filed at its deadline");
+            if let Some(t) = deadline {
+                earliest = Some(earliest.map_or(t, |e| e.min(t)));
+                filed += 1;
+            }
+            assert_eq!(
+                c.busy,
+                c.ep.in_flight() > 0,
+                "connection {idx} in-flight flag"
+            );
+            busy += usize::from(c.busy);
+        }
+        // Every entry is some connection's current filing, and there is
+        // one entry per filed connection: the index is exactly the
+        // filings.
+        for &(t, idx) in &self.due {
+            assert_eq!(
+                self.conns[idx].filed,
+                Some(t),
+                "index entry ({t}, {idx}) is current"
+            );
+        }
+        assert_eq!(
+            self.due.len(),
+            filed,
+            "one index entry per filed connection"
+        );
+        assert_eq!(
+            self.due.first().map(|&(t, _)| t),
+            earliest,
+            "first entry is the earliest deadline"
+        );
+        assert_eq!(self.in_flight, busy, "in-flight connection count");
+    }
 }
 
 impl Node for HostNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, seg: Segment) {
+        self.file_new();
         let now = ctx.now();
         // The single parse of the receive path: `try_meta` caches the
         // header metadata every later stage (checksum verify, vSwitch
@@ -607,11 +726,7 @@ impl Node for HostNode {
                 if let Some(&idx) = self.by_key.get(&key) {
                     self.conns[idx].ep.on_segment(now, &s);
                     self.service_conn(ctx, idx);
-                    if !self.multi_apps.is_empty() {
-                        for i in self.poll_multi(ctx) {
-                            self.pump(ctx, i);
-                        }
-                    }
+                    self.poll_multi(ctx);
                 }
             }
             Verdict::ForwardWithExtra(..) => unreachable!("ingress never generates packets"),
@@ -619,9 +734,11 @@ impl Node for HostNode {
         }
         self.rl_drain(ctx);
         self.reschedule(ctx);
+        self.check_index();
     }
 
     fn on_tx_start(&mut self, ctx: &mut Ctx<'_>, port: PortId, seg: &Segment) {
+        self.file_new();
         // A packet of ours began serialization: release its TSQ budget and
         // refill the owning connection if the gate had closed on it.
         if port != self.nic {
@@ -640,9 +757,11 @@ impl Node for HostNode {
                 self.pump(ctx, idx);
             }
         }
+        self.check_index();
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        self.file_new();
         self.armed = None;
         self.rl_drain(ctx);
         let now = ctx.now();
@@ -655,16 +774,20 @@ impl Node for HostNode {
                 .gc(now, self.datapath.config().gc_idle_timeout);
             self.next_dp_tick = now + DP_TICK_PERIOD;
         }
-        for idx in 0..self.conns.len() {
+        // Serve the connections whose own deadline fell due, in index
+        // order; no other connection has anything to do.
+        let mut due = std::mem::take(&mut self.scratch);
+        due.extend(self.due.range(..=(now, usize::MAX)).map(|&(_, idx)| idx));
+        due.sort_unstable();
+        for &idx in &due {
             self.service_conn(ctx, idx);
         }
-        if !self.multi_apps.is_empty() {
-            for i in self.poll_multi(ctx) {
-                self.pump(ctx, i);
-            }
-        }
+        due.clear();
+        self.scratch = due;
+        self.poll_multi(ctx);
         self.rl_drain(ctx);
         self.reschedule(ctx);
+        self.check_index();
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

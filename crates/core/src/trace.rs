@@ -68,16 +68,13 @@ impl MultiApp for TraceSender {
         // Issue the next message.
         if self.outstanding.is_none() && now < self.stop_at {
             // Pick a random established connection.
-            let established: Vec<usize> = self
-                .conns
-                .iter()
-                .copied()
-                .filter(|&c| conns.established(c))
-                .collect();
-            if established.is_empty() {
+            let mut established = self.conns.iter().copied().filter(|&c| conns.established(c));
+            let count = established.clone().count();
+            if count == 0 {
                 return None; // re-polled when connections come up
             }
-            let pick = established[self.rng.random_range(0..established.len())];
+            let k = self.rng.random_range(0..count);
+            let pick = established.nth(k).expect("k < count");
             let size = self.dist.sample(&mut self.rng);
             conns.send(pick, size);
             self.outstanding = Some((pick, conns.queued(pick), size, now));

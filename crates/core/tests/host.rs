@@ -2,9 +2,10 @@
 //! plumbing — via a minimal two-host network.
 
 use acdc_core::{ConnTaps, Scheme, Testbed};
-use acdc_stats::time::{MILLISECOND, SECOND};
-use acdc_workloads::apps::{BulkSender, MessageSender};
-use acdc_workloads::FctKind;
+use acdc_stats::time::{Nanos, MICROSECOND, MILLISECOND, SECOND};
+use acdc_tcp::TcpState;
+use acdc_workloads::apps::{App, AppConn, BulkSender, MessageSender};
+use acdc_workloads::{FctKind, FctRecorder};
 
 /// A bulk flow and a mice flow sharing one host NIC: per-connection TSQ
 /// must keep the mice from queueing behind the bulk flow's window.
@@ -123,4 +124,165 @@ fn flow_keys_are_unique_per_host() {
     assert_eq!(tb.acked_bytes(h1), 1_000);
     assert_eq!(tb.acked_bytes(h2), 1_000);
     assert_eq!(tb.acked_bytes(h3), 1_000);
+}
+
+// ----------------------------------------------------------------------
+// Host scheduling: each deadline source wakes the host on its own.
+// ----------------------------------------------------------------------
+
+/// Add `n` passive connections on `host` that never see a SYN: idle
+/// neighbours for the connections under test.
+fn add_idle_listeners(tb: &mut Testbed, host: usize, n: u16) {
+    let ip = tb.host_mut(host).ip();
+    let peer = [10, 0, 9, 9];
+    for i in 0..n {
+        let cfg = Scheme::Dctcp.tcp_config(ip, 20_000 + i, peer, 30_000 + i, 1500, u32::from(i));
+        tb.host_mut(host)
+            .add_connection(cfg, false, None, None, ConnTaps::default());
+    }
+}
+
+/// An active open scheduled with `start_at` on a host that is otherwise
+/// idle — no flow kick at the start time, only one wake-up at zero —
+/// sends its SYN exactly at `start_at`.
+#[test]
+fn start_at_opens_an_idle_hosts_connection_on_time() {
+    let mut tb = Testbed::star(2, Scheme::Dctcp, 1500);
+    add_idle_listeners(&mut tb, 0, 8);
+    let (cip, sip) = (tb.host_mut(0).ip(), tb.host_mut(1).ip());
+    let start = 7 * MILLISECOND + 123;
+    let ccfg = Scheme::Dctcp.tcp_config(cip, 40_000, sip, 5_001, 1500, 1);
+    let scfg = Scheme::Dctcp.tcp_config(sip, 5_001, cip, 40_000, 1500, 2);
+    let conn = tb.host_mut(0).add_connection(
+        ccfg,
+        true,
+        Some(start),
+        Some(Box::new(BulkSender::new(50_000, FctKind::Background))),
+        ConnTaps::default(),
+    );
+    tb.host_mut(1)
+        .add_connection(scfg, false, None, None, ConnTaps::default());
+    tb.kick_host(0, 0);
+
+    tb.run_until(start - 1);
+    assert_eq!(tb.host_mut(0).endpoint(conn).state(), TcpState::Closed);
+    tb.run_until(start);
+    assert_eq!(tb.host_mut(0).endpoint(conn).state(), TcpState::SynSent);
+    tb.run_until(start + 10 * MILLISECOND);
+    assert_eq!(tb.host_mut(0).endpoint(conn).acked_bytes(), 50_000);
+}
+
+/// `set_stop_at` called mid-run through `Testbed::host_mut` (which,
+/// unlike `set_flow_stop`, schedules no wake-up) truncates the stream
+/// exactly at the requested time. The second stop lands on a connection
+/// that already finished: it changes nothing visible, but under
+/// `strict-invariants` the host's index check sees it filed.
+#[test]
+fn set_stop_at_through_host_mut_takes_effect_on_time() {
+    let mut tb = Testbed::star(2, Scheme::Dctcp, 9000);
+    let flow = tb.add_bulk(0, 1, None, 0);
+    let done = tb.add_bulk(0, 1, Some(10_000), 0);
+    tb.run_until(20 * MILLISECOND);
+    assert_eq!(tb.acked_bytes(done), 10_000);
+    let idx = tb.client_conn_index(flow);
+    let stop = 30 * MILLISECOND + 17;
+    tb.host_mut(0).set_stop_at(idx, stop);
+    let idle = tb.client_conn_index(done);
+    tb.host_mut(0).set_stop_at(idle, 25 * MILLISECOND);
+
+    tb.run_until(stop - 1);
+    let unlimited = tb.host_mut(0).endpoint(idx).queued_bytes();
+    tb.run_until(stop);
+    let truncated = tb.host_mut(0).endpoint(idx).queued_bytes();
+    assert!(
+        truncated < unlimited,
+        "stream truncated at the stop time ({unlimited} -> {truncated})"
+    );
+    tb.run_until(50 * MILLISECOND);
+    assert_eq!(tb.acked_bytes(flow), truncated, "in-flight data drained");
+    assert_eq!(tb.acked_bytes(done), 10_000);
+}
+
+/// A `MessageSender` asks for a wake-up at every period. With 120 idle
+/// passive connections on the same host, each message still leaves on
+/// schedule: its FCT (measured from the scheduled send time) stays a
+/// network round trip, far below the period.
+#[test]
+fn periodic_app_wakes_on_time_beside_idle_connections() {
+    let mut tb = Testbed::star(2, Scheme::Dctcp, 1500);
+    add_idle_listeners(&mut tb, 0, 120);
+    let period = MILLISECOND + 7;
+    let flow = tb.add_flow(
+        0,
+        1,
+        Some(Box::new(MessageSender::new(
+            2_000,
+            period,
+            None,
+            FctKind::Mice,
+        ))),
+        None,
+        0,
+        ConnTaps::default(),
+    );
+    tb.run_until(50 * MILLISECOND);
+    assert_eq!(tb.host_mut(0).conn_count(), 121);
+    let fct = tb.fct_of(flow);
+    assert!(fct.len() >= 48, "one message per period: {}", fct.len());
+    for (k, s) in fct.samples().iter().enumerate().skip(1) {
+        assert_eq!(s.start - fct.samples()[0].start, k as Nanos * period);
+        assert!(
+            s.end - s.start < 100 * MICROSECOND,
+            "message {k} left late: FCT {} ns",
+            s.end - s.start
+        );
+    }
+}
+
+/// Idle until `at` (asking to be woken then), then a bounded transfer.
+struct Deferred {
+    at: Nanos,
+    inner: BulkSender,
+}
+
+impl App for Deferred {
+    fn poll(&mut self, now: Nanos, conn: &mut dyn AppConn) -> Option<Nanos> {
+        if now < self.at {
+            Some(self.at)
+        } else {
+            self.inner.poll(now, conn)
+        }
+    }
+
+    fn fct(&self) -> Option<&FctRecorder> {
+        self.inner.fct()
+    }
+}
+
+/// An app that returns `Some(at)` before `at` on an established, idle
+/// connection starts its traffic exactly at `at`: its wake-up alone
+/// brings the host back.
+#[test]
+fn deferred_app_starts_at_its_requested_wake() {
+    let mut tb = Testbed::star(2, Scheme::Dctcp, 1500);
+    add_idle_listeners(&mut tb, 0, 8);
+    let at = 5 * MILLISECOND + 321;
+    let flow = tb.add_flow(
+        0,
+        1,
+        Some(Box::new(Deferred {
+            at,
+            inner: BulkSender::new(20_000, FctKind::Background),
+        })),
+        None,
+        0,
+        ConnTaps::default(),
+    );
+    tb.run_until(at - 1);
+    assert!(tb.client_endpoint(flow).is_established());
+    assert_eq!(tb.client_endpoint(flow).queued_bytes(), 0);
+    tb.run_until(20 * MILLISECOND);
+    let fct = tb.fct_of(flow);
+    assert_eq!(fct.len(), 1);
+    assert_eq!(fct.samples()[0].start, at, "traffic starts at the wake");
 }

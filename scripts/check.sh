@@ -17,6 +17,7 @@
 #   scripts/check.sh soak       # bounded soak smoke (plain + strict)
 #   scripts/check.sh bench      # bench smoke + bench-diff vs BENCH_pr3.json
 #   scripts/check.sh throughput # simulator pkts/sec gate vs BENCH_pr10.json
+#   scripts/check.sh e2e        # full-stack benchmark: self-test + gated runs
 #
 # Multiple stage names may be given and run in the order listed.
 set -euo pipefail
@@ -90,6 +91,25 @@ stage_throughput() {
     cargo run -q -p acdc-xtask -- "${diff_args[@]}"
 }
 
+stage_e2e() {
+    # The full-stack benchmark (crates/bench/e2e, a package of its own):
+    # its self-test, then one short run of every workload and one traced
+    # run. Each run passes the benchmark's correctness gate or exits
+    # non-zero; the timings themselves are not gated here.
+    local manifest=crates/bench/e2e/Cargo.toml
+    echo "==> e2e benchmark self-test (star_equivalence)"
+    cargo test --release --offline --manifest-path "$manifest"
+
+    local bench=(cargo run --release --offline --quiet --manifest-path "$manifest" --)
+    local workload
+    for workload in incast websearch datapath churn; do
+        echo "==> e2e $workload (--seed 1 --seconds 1 --trace 0)"
+        "${bench[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1
+    done
+    echo "==> e2e websearch traced (--seed 1 --seconds 1 --trace 1)"
+    "${bench[@]}" --workload websearch --seed 1 --seconds 1 --trace 1 | tail -n 1
+}
+
 stage_chaos() {
     echo "==> chaos suite (acdc-faults unit/integration + scenario tests)"
     cargo test -q -p acdc-faults
@@ -129,11 +149,11 @@ stage_soak() {
     cargo test -q -p acdc-soak --features strict-invariants
 }
 
-ALL_STAGES=(lint test bench throughput chaos workers soak strict)
+ALL_STAGES=(lint test bench throughput chaos workers soak strict e2e)
 
 run_stage() {
     case "$1" in
-        lint | test | bench | throughput | chaos | workers | soak | strict) "stage_$1" ;;
+        lint | test | bench | throughput | chaos | workers | soak | strict | e2e) "stage_$1" ;;
         *)
             echo "error: unknown stage '$1' (expected: ${ALL_STAGES[*]})" >&2
             exit 2
